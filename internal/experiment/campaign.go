@@ -85,12 +85,14 @@ type Spec struct {
 // dispatched. None of it may change a single table cell.
 type Exec struct {
 	// Mode selects the execution engine behind the runs:
-	// inject.ModeAuto (the zero value) resolves to the snapshot engine
-	// for detection-only campaigns and to literal from-scratch runs
-	// otherwise; ModeMemo adds liveness pruning and outcome
-	// memoization on top of the snapshot engine. Snapshot and memo
-	// modes are rejected for campaigns with an active recovery policy
-	// (their equivalence argument needs detection-only runs).
+	// inject.ModeAuto (the zero value) resolves to ModePrune — the
+	// snapshot engine with liveness pruning — for detection-only
+	// campaigns and to literal from-scratch runs otherwise;
+	// ModeSnapshot is the unpruned snapshot engine; ModeMemo adds
+	// outcome memoization to the pruning and profiles each case in
+	// full before its first run. Snapshot, prune and memo modes are
+	// rejected for campaigns with an active recovery policy (their
+	// equivalence argument needs detection-only runs).
 	Mode inject.Mode
 	// Workers bounds the worker pool (default GOMAXPROCS).
 	Workers int
@@ -334,8 +336,9 @@ func (c Config) checkReplayOnly(exp string, live []job, total int) error {
 }
 
 // resolveMode resolves the configured engine mode against the recovery
-// policy: auto picks snapshot for detection-only campaigns and literal
-// otherwise; explicit snapshot/memo with active recovery is an error.
+// policy: auto picks prune for detection-only campaigns and literal
+// otherwise; explicit snapshot/prune/memo with active recovery is an
+// error.
 func (c Config) resolveMode() (inject.Mode, error) {
 	return c.Mode.Resolve(c.Recovery)
 }
@@ -368,10 +371,12 @@ type batch struct {
 // buildBatches groups the live jobs by test case and chunks each case's
 // errors, preserving a deterministic order. The chunking follows the
 // per-batch cost profile: literal runs share nothing (single-job
-// batches, the old per-run dispatch); the snapshot engine serves
-// chunks of engineBatchErrors from its restored checkpoint; the memo
-// runner serves larger chunks (memoBatchErrors) because liveness-
-// pruned errors cost microseconds. The per-case liveness profile and
+// batches, the old per-run dispatch); the snapshot engine and the
+// prune runner serve chunks of engineBatchErrors from their restored
+// checkpoint; the memo runner serves larger chunks (memoBatchErrors)
+// because liveness-pruned errors cost microseconds. The prune runner
+// keeps the small chunks: on campaigns where nothing is pruned (E1) it
+// must balance the pool like the snapshot engine. The per-case liveness profile and
 // outcome memo that once forced whole-case memo batches now live in
 // the campaign-wide ProfileCache/SharedMemo, shared by every chunk.
 func buildBatches(live []job, mode inject.Mode) []batch {

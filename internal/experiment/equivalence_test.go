@@ -77,11 +77,13 @@ func diffRecords(t *testing.T, mode string, got, want map[journal.Key]journal.Re
 // the result, rendered tables and journal records per mode. The
 // literal mode is the ground truth (it simulates every run from time
 // zero exactly as the paper's FIC3 hardware observed the target); the
-// snapshot and memo runners must be observationally identical to it.
+// snapshot engine and the prune and memo runners must be
+// observationally identical to it.
 type matrixRow struct {
 	mode    inject.Mode
 	tables  []string
 	records map[journal.Key]journal.Record
+	metrics journal.Metrics
 }
 
 func runMatrix(t *testing.T, seed int64, exp string,
@@ -89,7 +91,7 @@ func runMatrix(t *testing.T, seed int64, exp string,
 	t.Helper()
 	dir := t.TempDir()
 	out := make(map[inject.Mode]matrixRow)
-	for _, mode := range []inject.Mode{inject.ModeLiteral, inject.ModeSnapshot, inject.ModeMemo} {
+	for _, mode := range []inject.Mode{inject.ModeLiteral, inject.ModeSnapshot, inject.ModePrune, inject.ModeMemo} {
 		path := filepath.Join(dir, mode.String()+".jsonl")
 		cfg, w, err := equivalenceConfig(seed, path, mode)
 		if err != nil {
@@ -113,7 +115,7 @@ func runMatrix(t *testing.T, seed int64, exp string,
 func diffMatrix(t *testing.T, rows map[inject.Mode]matrixRow, tableNames []string) {
 	t.Helper()
 	ref := rows[inject.ModeLiteral]
-	for _, mode := range []inject.Mode{inject.ModeSnapshot, inject.ModeMemo} {
+	for _, mode := range []inject.Mode{inject.ModeSnapshot, inject.ModePrune, inject.ModeMemo} {
 		row := rows[mode]
 		for i, name := range tableNames {
 			if row.tables[i] != ref.tables[i] {
@@ -133,11 +135,11 @@ type e2Tables struct{ r *E2Result }
 
 func (e e2Tables) renderTables() []string { return []string{Table9(e.r)} }
 
-// TestE1EngineEquivalence is the three-way acceptance matrix for the
-// Runner redesign: an E1 campaign served by the snapshot engine and by
-// the memo/prune runner renders byte-identical Tables 7 and 8 and
-// journals identical per-run outcomes versus the same campaign
-// simulated literally from time zero with the same seed.
+// TestE1EngineEquivalence is the acceptance matrix for the Runner
+// redesign: an E1 campaign served by the snapshot engine, the prune
+// runner (the default) and the memo runner renders byte-identical
+// Tables 7 and 8 and journals identical per-run outcomes versus the
+// same campaign simulated literally from time zero with the same seed.
 func TestE1EngineEquivalence(t *testing.T) {
 	var last *E1Result
 	rows := runMatrix(t, 11, ExperimentE1, func(cfg Config) (interface{ renderTables() []string }, error) {

@@ -260,6 +260,17 @@ func TestResumeRejectsRunnerModeMismatch(t *testing.T) {
 		t.Errorf("unhelpful mode-mismatch error: %v", err)
 	}
 
+	// A journal of the old default engine (snapshot) is refused under
+	// today's default, which resolves to prune, and the error names the
+	// flag that resumes it.
+	def := bad
+	def.Mode = inject.ModeAuto
+	if _, err := RunE1(def); err == nil {
+		t.Error("snapshot journal accepted under the default engine")
+	} else if !strings.Contains(err.Error(), "rerun with -engine=snapshot") {
+		t.Errorf("mode-mismatch error does not name -engine=snapshot: %v", err)
+	}
+
 	// The matching mode resumes cleanly.
 	good := bad
 	good.Mode = inject.ModeSnapshot

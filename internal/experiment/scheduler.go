@@ -23,9 +23,9 @@ import (
 //
 // The expensive per-case state is shared, not stolen with the batch: an
 // inject.ProfileCache computes each case's nominal-prefix snapshot (and
-// for memo mode the full-window nominal profile + liveness map) exactly
-// once per campaign, and every worker's runner is built from that
-// read-only profile. Memoized outcomes cross workers through a
+// for prune and memo modes the full-window nominal profile + liveness
+// map) exactly once per campaign, and every worker's runner is built
+// from that read-only profile. Memoized outcomes cross workers through a
 // per-case inject.SharedMemo, merged at batch barriers.
 //
 // Concurrency contract, structure by structure: WorkQueue claims are a
@@ -131,9 +131,11 @@ func newWorkerRunners(cfg Config, mode inject.Mode, cache *inject.ProfileCache, 
 
 // runner returns the worker's runner for b's test case, building it on
 // first use. Snapshot engines fast-forward by restoring the shared
-// profile snapshot instead of re-simulating the nominal prefix; memo
-// runners additionally share the full nominal profile, the liveness
-// map and the case's outcome memo.
+// profile snapshot instead of re-simulating the nominal prefix. Prune
+// runners start on that snapshot too and fetch the case's full nominal
+// profile and liveness map only after their first error, so no worker's
+// first result waits for the full-window profile. Memo runners take
+// the full profile up front and share the case's outcome memo.
 func (wr *workerRunners) runner(b batch) (inject.Runner, error) {
 	if r, ok := wr.byCase[b.caseIdx]; ok {
 		return r, nil
@@ -153,6 +155,13 @@ func (wr *workerRunners) runner(b batch) (inject.Runner, error) {
 		var p *inject.CaseProfile
 		if p, err = wr.cache.Get(b.caseIdx, rc, false); err == nil {
 			r, err = inject.NewEngineFromProfile(p)
+		}
+	case inject.ModePrune:
+		var p *inject.CaseProfile
+		if p, err = wr.cache.Get(b.caseIdx, rc, false); err == nil {
+			r, err = inject.NewPruneRunnerFromProfile(p, func() (*inject.CaseProfile, error) {
+				return wr.cache.Get(b.caseIdx, rc, true)
+			})
 		}
 	case inject.ModeMemo:
 		var p *inject.CaseProfile

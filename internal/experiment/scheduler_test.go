@@ -137,7 +137,7 @@ func runAtWorkers(t *testing.T, exp string, workers int, mode inject.Mode,
 	if total != metrics.Runs {
 		t.Fatalf("per-worker runs sum to %d, metrics.Runs = %d", total, metrics.Runs)
 	}
-	return matrixRow{mode: mode, tables: res.renderTables(), records: loadRecords(t, path, exp)}
+	return matrixRow{mode: mode, tables: res.renderTables(), records: loadRecords(t, path, exp), metrics: metrics}
 }
 
 // TestSchedulerWorkerCountEquivalence is the parallel-scheduler
@@ -147,7 +147,9 @@ func runAtWorkers(t *testing.T, exp string, workers int, mode inject.Mode,
 // tables and journals identical per-run outcomes. E1 exercises the
 // snapshot engine across every version; E2 under the memo runner
 // exercises liveness pruning, cross-worker memoization (the E2 sample
-// draws duplicates) and intra-case chunking.
+// draws duplicates) and intra-case chunking; E2 under the prune runner
+// (the default) exercises deferred profile fetches, where which errors
+// are pruned depends on how many workers touch a case.
 func TestSchedulerWorkerCountEquivalence(t *testing.T) {
 	runE1 := func(cfg Config) (interface{ renderTables() []string }, journal.Metrics, error) {
 		r, err := RunE1(cfg)
@@ -175,15 +177,21 @@ func TestSchedulerWorkerCountEquivalence(t *testing.T) {
 		}
 		diffRecords(t, "8-workers", eight.records, one.records)
 	})
-	t.Run("E2-memo", func(t *testing.T) {
-		one := runAtWorkers(t, ExperimentE2, 1, inject.ModeMemo, runE2)
-		eight := runAtWorkers(t, ExperimentE2, 8, inject.ModeMemo, runE2)
-		for i := range one.tables {
-			if one.tables[i] != eight.tables[i] {
-				t.Errorf("table %d differs between 1 and 8 workers:\n8 workers:\n%s\n1 worker:\n%s",
-					i, eight.tables[i], one.tables[i])
+	for _, mode := range []inject.Mode{inject.ModeMemo, inject.ModePrune} {
+		t.Run("E2-"+mode.String(), func(t *testing.T) {
+			one := runAtWorkers(t, ExperimentE2, 1, mode, runE2)
+			eight := runAtWorkers(t, ExperimentE2, 8, mode, runE2)
+			for i := range one.tables {
+				if one.tables[i] != eight.tables[i] {
+					t.Errorf("table %d differs between 1 and 8 workers:\n8 workers:\n%s\n1 worker:\n%s",
+						i, eight.tables[i], one.tables[i])
+				}
 			}
-		}
-		diffRecords(t, "8-workers", eight.records, one.records)
-	})
+			diffRecords(t, "8-workers", eight.records, one.records)
+			if one.metrics.Pruned == 0 || eight.metrics.Pruned == 0 {
+				t.Errorf("nothing pruned (1 worker: %d, 8 workers: %d); the arm does not exercise pruning",
+					one.metrics.Pruned, eight.metrics.Pruned)
+			}
+		})
+	}
 }

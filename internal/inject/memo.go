@@ -8,17 +8,18 @@ import (
 	"easig/internal/target"
 )
 
-// MemoRunner is the pruning and memoizing Runner: it wraps the snapshot
-// Engine of one (test case, injection schedule) with two layers that
-// serve errors without simulating them.
+// MemoRunner is the pruning and memoizing Runner (ModeMemo): the
+// liveness pruner of PruneRunner with an outcome memo between it and
+// the snapshot Engine.
 //
-//  1. Liveness pruning. On first use the runner profiles the test case
-//     fault-free over the full observation window with the def/use
-//     Liveness pass armed. Errors whose byte is dead at every injection
-//     time (never read between an injection epoch and the next store)
-//     are provably benign — see the soundness argument on Liveness —
-//     and their per-version results are derived from the cached nominal
-//     profile with zero simulation.
+//  1. Liveness pruning. Before its first result the runner has the
+//     case's full-window nominal profile with the def/use Liveness pass
+//     armed — computed on first use, or taken from a shared
+//     CaseProfile. Errors whose byte is dead at every injection time
+//     are provably benign and served from that profile (see pruner).
+//     Unlike PruneRunner, every error is served with the map in place,
+//     so the Simulated/Pruned/MemoHits split is a function of the error
+//     set alone.
 //  2. Outcome memoization. For live errors, the post-injection state
 //     delta against the case's snapshot — (address, post-flip byte,
 //     flip mask) — is hashed; identical deltas under the identical
@@ -29,11 +30,9 @@ import (
 // Everything else falls through to Engine.RunError. A MemoRunner is not
 // safe for concurrent use; each campaign worker owns one.
 type MemoRunner struct {
-	eng   *Engine
-	live  *Liveness
+	pruner
 	baseM [][]byte // snapshot-time memory bytes, for the delta hash
 	memo  map[uint64]memoEntry
-	stats RunnerStats
 
 	// shared, when non-nil, is the case-wide memo the parallel
 	// scheduler hands every runner of the same test case: lookups fall
@@ -59,32 +58,10 @@ func NewMemoRunner(cfg RunConfig) (*MemoRunner, error) {
 		return nil, err
 	}
 	return &MemoRunner{
-		eng:   eng,
-		baseM: eng.mem.Snapshot(),
-		memo:  make(map[uint64]memoEntry),
+		pruner: pruner{eng: eng},
+		baseM:  eng.mem.Snapshot(),
+		memo:   make(map[uint64]memoEntry),
 	}, nil
-}
-
-// Engine exposes the wrapped snapshot engine (tests and tools).
-func (r *MemoRunner) Engine() *Engine { return r.eng }
-
-// Liveness exposes the computed liveness map; nil before the first
-// RunError.
-func (r *MemoRunner) Liveness() *Liveness { return r.live }
-
-// Stats implements StatsReporter. Simulated counts the errors the
-// wrapped engine actually profiled (the one nominal liveness profile is
-// not counted as an error).
-func (r *MemoRunner) Stats() RunnerStats { return r.stats }
-
-// profile runs the one-time nominal liveness profile.
-func (r *MemoRunner) profile() error {
-	live := NewLiveness(r.eng.mem.Regions())
-	if err := r.eng.ProfileNominal(live, live.MarkInjection); err != nil {
-		return err
-	}
-	r.live = live
-	return nil
 }
 
 // stateHash hashes err's post-injection state delta against the
@@ -151,17 +128,8 @@ func (r *MemoRunner) RunError(err Error, versions []target.Version, out []RunRes
 		}
 	}
 	r.stats.Errors++
-
-	if !r.live.Live(err.Addr) {
-		for i, v := range versions {
-			res, derr := r.eng.DeriveNominal(v)
-			if derr != nil {
-				return derr
-			}
-			out[i] = res
-		}
-		r.stats.Pruned++
-		return nil
+	if ok, perr := r.servePruned(err, versions, out); ok || perr != nil {
+		return perr
 	}
 
 	h, herr := r.stateHash(err)
@@ -178,10 +146,9 @@ func (r *MemoRunner) RunError(err Error, versions []target.Version, out []RunRes
 		return nil
 	}
 
-	if rerr := r.eng.RunError(err, versions, out); rerr != nil {
+	if rerr := r.simulate(err, versions, out); rerr != nil {
 		return rerr
 	}
-	r.stats.Simulated++
 	r.memo[h] = memoEntry{
 		versions: append([]target.Version(nil), versions...),
 		results:  cloneResults(out),

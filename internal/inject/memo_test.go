@@ -12,7 +12,7 @@ import (
 
 // TestParseModeRoundTrip checks the -engine flag spelling of every mode.
 func TestParseModeRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeAuto, ModeLiteral, ModeSnapshot, ModeMemo} {
+	for _, m := range []Mode{ModeAuto, ModeLiteral, ModeSnapshot, ModeMemo, ModePrune} {
 		got, err := ParseMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
@@ -28,11 +28,11 @@ func TestParseModeRoundTrip(t *testing.T) {
 
 // TestModeResolve checks the auto mapping and the recovery guard.
 func TestModeResolve(t *testing.T) {
-	if m, err := Mode.Resolve(ModeAuto, nil); err != nil || m != ModeSnapshot {
-		t.Errorf("auto/nil -> %v, %v; want snapshot", m, err)
+	if m, err := Mode.Resolve(ModeAuto, nil); err != nil || m != ModePrune {
+		t.Errorf("auto/nil -> %v, %v; want prune", m, err)
 	}
-	if m, err := Mode.Resolve(ModeAuto, core.NoRecovery{}); err != nil || m != ModeSnapshot {
-		t.Errorf("auto/NoRecovery -> %v, %v; want snapshot", m, err)
+	if m, err := Mode.Resolve(ModeAuto, core.NoRecovery{}); err != nil || m != ModePrune {
+		t.Errorf("auto/NoRecovery -> %v, %v; want prune", m, err)
 	}
 	if m, err := Mode.Resolve(ModeAuto, core.PreviousValue{}); err != nil || m != ModeLiteral {
 		t.Errorf("auto/PreviousValue -> %v, %v; want literal", m, err)
@@ -42,6 +42,12 @@ func TestModeResolve(t *testing.T) {
 	}
 	if _, err := Mode.Resolve(ModeSnapshot, core.PreviousValue{}); err == nil {
 		t.Error("snapshot mode accepted an active recovery policy")
+	}
+	if _, err := Mode.Resolve(ModePrune, core.PreviousValue{}); err == nil {
+		t.Error("prune mode accepted an active recovery policy")
+	}
+	if m, err := Mode.Resolve(ModePrune, nil); err != nil || m != ModePrune {
+		t.Errorf("prune/nil -> %v, %v; want prune", m, err)
 	}
 	if m, err := Mode.Resolve(ModeLiteral, core.PreviousValue{}); err != nil || m != ModeLiteral {
 		t.Errorf("literal/PreviousValue -> %v, %v; want literal", m, err)

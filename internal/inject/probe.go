@@ -136,10 +136,14 @@ func ProbeMode(mode Mode) Mode {
 }
 
 // resolveProbeMode applies ProbeMode and the probe's detection-only
-// precondition.
+// precondition. Probes have no prune mode: a sweep shares one full
+// profile per case from the start, so memo is the pruning probe.
 func resolveProbeMode(mode Mode, cfg RunConfig) (Mode, error) {
 	if !detectionOnly(cfg.Recovery) {
 		return mode, fmt.Errorf("inject: probe requires detection-only runs (core.NoRecovery), got %T", cfg.Recovery)
+	}
+	if mode == ModePrune {
+		return mode, fmt.Errorf("inject: probe engine must be auto, literal, snapshot or memo, not %s", mode)
 	}
 	return ProbeMode(mode), nil
 }

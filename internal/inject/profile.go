@@ -21,18 +21,22 @@ import (
 //     starting point — PR 4 simulated this once per runner, so a case
 //     split across N workers paid for it N times);
 //   - optionally (the "full" stage) the full-observation-window nominal
-//     profile and the def/use liveness map, which the memo runner uses
-//     to prove dead-at-injection faults benign and to derive their
-//     per-version readouts with zero simulation. Before the cache this
-//     was the single most expensive per-runner cost — a complete
-//     fault-free simulation of the whole window — and it is exactly
-//     what forced PR 6 to schedule each case as one indivisible batch.
+//     profile and the def/use liveness map, which the prune and memo
+//     runners use to prove dead-at-injection faults benign and to
+//     derive their per-version readouts with zero simulation. Before
+//     the cache this was the single most expensive per-runner cost — a
+//     complete fault-free simulation of the whole window — and it is
+//     exactly what once forced each case to be scheduled as one
+//     indivisible batch.
 //
-// A CaseProfile is immutable after construction. Engines built from it
-// via NewEngineFromProfile share its buffers read-only (Restore only
-// reads from the snapshot; the nominal profile is only consulted, never
-// written), which is what makes one profile safe for any number of
-// concurrent workers.
+// Each stage is immutable once its ProfileCache.Get returns. The full
+// stage fills its own fields of the same CaseProfile, so a prefix-stage
+// reader (NewEngineFromProfile) never touches them; a prune runner
+// built on the prefix stage reads them only after its own full-stage
+// Get. Engines built from a profile share its buffers read-only
+// (Restore only reads from the snapshot; the nominal profile is only
+// consulted, never written), which is what makes one profile safe for
+// any number of concurrent workers.
 type CaseProfile struct {
 	cfg RunConfig
 
@@ -53,7 +57,7 @@ func (p *CaseProfile) Live() *Liveness { return p.live }
 
 // profileEntry is one cache slot. The two stages are guarded by
 // separate sync.Onces so snapshot-mode campaigns never pay for the
-// full-window profile that only the memo runner needs.
+// full-window profile that only pruning needs.
 type profileEntry struct {
 	prefixOnce sync.Once
 	fullOnce   sync.Once
@@ -95,7 +99,7 @@ func NewProfileCache() *ProfileCache {
 // most once per cache. With full=false only the nominal-prefix
 // snapshot is guaranteed (what a snapshot Engine needs); with
 // full=true the full-window nominal profile and liveness map are
-// computed too (what a MemoRunner needs).
+// computed too (what liveness pruning needs).
 func (c *ProfileCache) Get(key int, cfg RunConfig, full bool) (*CaseProfile, error) {
 	c.mu.Lock()
 	e := c.entries[key]
@@ -166,7 +170,8 @@ func (e *profileEntry) computeFull() error {
 // built from the same configuration and fast-forwarded by restoring
 // the shared snapshot. The engine shares the profile's buffers
 // read-only, so any number of engines (one per campaign worker) can be
-// built from one profile concurrently.
+// built from one profile concurrently. It reads the prefix stage only;
+// the runners that prune install the full stage themselves.
 func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 	e, err := newEngineShell(p.cfg)
 	if err != nil {
@@ -187,7 +192,6 @@ func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 	e.baseHaveFail = p.prefixHave
 	e.failReadout = p.prefixFail
 	e.haveFailReadout = p.prefixHave
-	e.nominal = p.nominal
 	if err := e.sys.Restore(&e.base); err != nil {
 		return nil, fmt.Errorf("inject: fast-forwarding from shared profile: %w", err)
 	}
@@ -201,20 +205,20 @@ func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
 // publish and consume memoized outcomes across the workers of the
 // case; pass nil for a private memo.
 func NewMemoRunnerFromProfile(p *CaseProfile, shared *SharedMemo) (*MemoRunner, error) {
-	if p.live == nil || p.nominal == nil {
-		return nil, fmt.Errorf("inject: memo runner needs the full profile stage (ProfileCache.Get with full=true)")
-	}
 	eng, err := NewEngineFromProfile(p)
 	if err != nil {
 		return nil, err
 	}
-	return &MemoRunner{
-		eng:    eng,
-		live:   p.live,
+	r := &MemoRunner{
+		pruner: pruner{eng: eng},
 		baseM:  p.baseMem,
 		memo:   make(map[uint64]memoEntry),
 		shared: shared,
-	}, nil
+	}
+	if err := r.arm(p); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // SharedMemo publishes outcome-memo entries across the runners of one

@@ -12,16 +12,17 @@ import (
 // the single execution contract behind the campaign layer: the literal
 // per-run simulation (the paper's §3.2 FIC3 protocol — one bit flip at
 // the injection time, re-injected every 20 ms), the snapshot
-// fast-forward Engine, and the memoizing/pruning MemoRunner all
-// implement it, so internal/experiment composes runners instead of
-// branching on flags.
+// fast-forward Engine, the liveness-pruning PruneRunner and the
+// pruning+memoizing MemoRunner all implement it, so internal/experiment
+// composes runners instead of branching on flags.
 //
 // The modes are interchangeable by contract, not by convention: every
 // mode must reproduce the §3.4 campaign tables (Tables 7-9) cell for
 // cell. PERFORMANCE.md's "The proof obligations, as tests" section
 // lists the proofs — TestEngineMatchesRun pins snapshot against
-// literal field by field, TestMemoRunnerMatchesEngine adds the pruning
-// and memo layers, and the campaign-level equivalence suites
+// literal field by field, TestPruneRunnerDefersProfile and
+// TestMemoRunnerMatchesEngine add the pruning and memo layers, and the
+// campaign-level equivalence suites
 // (TestE1EngineEquivalence, TestE2EngineEquivalence) re-verify all
 // modes against each other on every change.
 //
@@ -90,23 +91,30 @@ type StatsReporter interface {
 type Mode int
 
 const (
-	// ModeAuto resolves to ModeSnapshot for detection-only campaigns
-	// and to ModeLiteral when an active recovery policy makes version
-	// builds diverge. It is the zero value, preserving the historical
-	// default.
+	// ModeAuto resolves to ModePrune for detection-only campaigns and
+	// to ModeLiteral when an active recovery policy makes version
+	// builds diverge. It is the zero value, so a campaign that names no
+	// engine gets the fastest one whose first result is not delayed.
 	ModeAuto Mode = iota
 	// ModeLiteral simulates every (error, version) run from time zero
 	// on a fresh system, as the paper's hardware FIC3 did.
 	ModeLiteral
 	// ModeSnapshot serves each test case from one fast-forwarded
 	// checkpoint and derives all version builds from a single
-	// all-assertions profile run per error (the PR 4 Engine).
+	// all-assertions profile run per error (the plain Engine, no
+	// pruning).
 	ModeSnapshot
 	// ModeMemo wraps the snapshot engine with the def/use liveness
 	// pruner and the post-injection-state outcome memo: faults in dead
 	// or overwritten-before-read bytes are classified benign with zero
-	// simulation, and repeat faults replay their memoized readouts.
+	// simulation, and repeat faults replay their memoized readouts. It
+	// profiles the whole observation window before its first result.
 	ModeMemo
+	// ModePrune wraps the snapshot engine with the liveness pruner
+	// only: the first error of a case is simulated while the case's
+	// full-window profile is still outstanding, later dead-byte errors
+	// are derived from that profile. No outcome memo.
+	ModePrune
 )
 
 // String names the mode as the -engine flag spells it.
@@ -120,6 +128,8 @@ func (m Mode) String() string {
 		return "snapshot"
 	case ModeMemo:
 		return "memo"
+	case ModePrune:
+		return "prune"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -136,14 +146,16 @@ func ParseMode(s string) (Mode, error) {
 		return ModeSnapshot, nil
 	case "memo":
 		return ModeMemo, nil
+	case "prune":
+		return ModePrune, nil
 	default:
-		return ModeAuto, fmt.Errorf("inject: unknown engine mode %q (want auto, literal, snapshot or memo)", s)
+		return ModeAuto, fmt.Errorf("inject: unknown engine mode %q (want auto, literal, snapshot, prune or memo)", s)
 	}
 }
 
 // detectionOnly reports whether the recovery policy leaves corrupted
 // state in place (nil or core.NoRecovery), the precondition of the
-// snapshot and memo runners.
+// snapshot, prune and memo runners.
 func detectionOnly(recovery core.RecoveryPolicy) bool {
 	if recovery == nil {
 		return true
@@ -153,18 +165,19 @@ func detectionOnly(recovery core.RecoveryPolicy) bool {
 }
 
 // Resolve maps ModeAuto to its concrete mode for the given recovery
-// policy and rejects snapshot/memo execution of campaigns whose active
+// policy — prune for detection-only campaigns, literal otherwise — and
+// rejects snapshot/prune/memo execution of campaigns whose active
 // recovery makes the version builds steer the plant differently.
 func (m Mode) Resolve(recovery core.RecoveryPolicy) (Mode, error) {
 	switch m {
 	case ModeAuto:
 		if detectionOnly(recovery) {
-			return ModeSnapshot, nil
+			return ModePrune, nil
 		}
 		return ModeLiteral, nil
 	case ModeLiteral:
 		return ModeLiteral, nil
-	case ModeSnapshot, ModeMemo:
+	case ModeSnapshot, ModeMemo, ModePrune:
 		if !detectionOnly(recovery) {
 			return m, fmt.Errorf("inject: %s engine requires detection-only runs (core.NoRecovery), got %T", m, recovery)
 		}
@@ -189,6 +202,8 @@ func NewRunner(mode Mode, cfg RunConfig) (Runner, error) {
 		return NewEngine(cfg)
 	case ModeMemo:
 		return NewMemoRunner(cfg)
+	case ModePrune:
+		return NewPruneRunner(cfg)
 	default:
 		return nil, fmt.Errorf("inject: unknown engine mode %d", int(resolved))
 	}

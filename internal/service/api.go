@@ -25,10 +25,11 @@ type SubmitRequest struct {
 	// implied by Kind "exhaustive".
 	Spec experiment.Spec `json:"spec"`
 	// Engine selects the execution engine every worker must use
-	// ("auto", "literal", "snapshot", "memo"; default auto, which
-	// resolves to snapshot — service campaigns are detection-only). All
-	// shards of a campaign must share one engine so the merged tables
-	// have a single provenance.
+	// ("auto", "literal", "snapshot", "prune", "memo"; default auto,
+	// which resolves to prune — service campaigns are detection-only —
+	// and to memo for the exhaustive census). All shards of a campaign
+	// must share one engine so the merged tables have a single
+	// provenance.
 	Engine string `json:"engine,omitempty"`
 	// CasesPerShard sizes the shards (default 1 test case per shard —
 	// the finest work units, and the best load balance).

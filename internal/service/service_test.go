@@ -139,6 +139,9 @@ func TestDistributedCampaignByteIdenticalTables(t *testing.T) {
 	if info.ShardCount != 4 || info.TotalRuns == 0 || info.State != StateRunning {
 		t.Fatalf("submit info = %+v", info)
 	}
+	if info.Engine != inject.ModePrune.String() {
+		t.Fatalf("default engine resolved to %q, want %q", info.Engine, inject.ModePrune)
+	}
 
 	// Two worker processes share the campaign.
 	waitDrained(t, runWorker(t, ts.URL, "alpha"), runWorker(t, ts.URL, "beta"))
@@ -170,6 +173,40 @@ func TestDistributedCampaignByteIdenticalTables(t *testing.T) {
 	}
 	if code, body := fetch(t, ts.URL, "/api/v1/campaigns/"+info.ID+"/results?format=journal"); code != http.StatusOK || !strings.Contains(body, `"kind":"header"`) {
 		t.Fatalf("journal results: HTTP %d: %.120s", code, body)
+	} else if !strings.Contains(body, `"runner":"prune"`) {
+		t.Fatalf("merged journal was not recorded by prune-mode shard workers: %.200s", body)
+	}
+}
+
+// TestNormalizeResolvesEngine pins the submit-time engine resolution:
+// auto means prune for the paper's experiments and memo for the
+// exhaustive census, and every explicit engine round-trips by name.
+func TestNormalizeResolvesEngine(t *testing.T) {
+	srv, err := New(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct{ kind, engine, want string }{
+		{"e1", "", "prune"},
+		{"e2", "auto", "prune"},
+		{"e2", "prune", "prune"},
+		{"e1", "snapshot", "snapshot"},
+		{"e1", "literal", "literal"},
+		{"e2", "memo", "memo"},
+		{"exhaustive", "", "memo"},
+		{"exhaustive", "prune", "prune"},
+	} {
+		req, _, mode, err := srv.normalize(SubmitRequest{Kind: tc.kind, Spec: testSpec(1), Engine: tc.engine})
+		if err != nil {
+			t.Fatalf("%s/%q: %v", tc.kind, tc.engine, err)
+		}
+		if req.Engine != tc.want || mode.String() != tc.want {
+			t.Errorf("%s/%q resolved to %q (%v), want %q", tc.kind, tc.engine, req.Engine, mode, tc.want)
+		}
+		if back, err := inject.ParseMode(req.Engine); err != nil || back != mode {
+			t.Errorf("%s/%q: the normalized engine %q does not parse back: %v, %v", tc.kind, tc.engine, req.Engine, back, err)
+		}
 	}
 }
 

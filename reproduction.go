@@ -105,7 +105,8 @@ type EngineMode = inject.Mode
 
 // The engine modes (Discrete-by-value, like Version and Placement).
 const (
-	// EngineAuto resolves to EngineSnapshot for detection-only
+	// EngineAuto resolves to the prune engine (the snapshot engine
+	// with liveness pruning, -engine prune) for detection-only
 	// campaigns and EngineLiteral otherwise (the zero value).
 	EngineAuto = inject.ModeAuto
 	// EngineLiteral simulates every run from time zero, as the paper's
@@ -120,7 +121,7 @@ const (
 )
 
 // ParseEngineMode parses an -engine flag value
-// (auto|literal|snapshot|memo).
+// (auto|literal|snapshot|prune|memo).
 func ParseEngineMode(s string) (EngineMode, error) { return inject.ParseMode(s) }
 
 // NewRunner builds the mode's runner for one test case; campaigns
