@@ -7,6 +7,10 @@
 //
 //	arrest [-mass kg] [-velocity m/s] [-seed n] [-version all|ea1..ea7|none]
 //	       [-error S1..S112] [-observe ms] [-csv] [-every ms]
+//
+// Mass and velocity must lie in the paper's test-case envelope
+// (8000-20000 kg, 40-70 m/s, bounds included), and -observe and -every
+// must be positive; arrest refuses other values with an error.
 package main
 
 import (
@@ -20,25 +24,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "arrest:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("arrest", flag.ExitOnError)
 	var (
-		mass     = flag.Float64("mass", 14000, "aircraft mass in kg (8000-20000)")
-		velocity = flag.Float64("velocity", 55, "engagement velocity in m/s (40-70)")
-		seed     = flag.Int64("seed", 1, "sensor-noise seed")
-		version  = flag.String("version", "all", "software version: all, ea1..ea7, none")
-		errID    = flag.String("error", "", "inject error S1..S112 from error set E1")
-		observe  = flag.Int64("observe", 40000, "observation period in ms")
-		csvOut   = flag.Bool("csv", false, "stream monitored signals as CSV to stdout")
-		every    = flag.Int64("every", 7, "CSV sampling period in ms")
-		dump     = flag.Bool("dump", false, "hex-dump the master node memory after the run")
+		mass     = fs.Float64("mass", 14000, "aircraft mass in kg (8000-20000)")
+		velocity = fs.Float64("velocity", 55, "engagement velocity in m/s (40-70)")
+		seed     = fs.Int64("seed", 1, "sensor-noise seed")
+		version  = fs.String("version", "all", "software version: all, ea1..ea7, none")
+		errID    = fs.String("error", "", "inject error S1..S112 from error set E1")
+		observe  = fs.Int64("observe", 40000, "observation period in ms")
+		csvOut   = fs.Bool("csv", false, "stream monitored signals as CSV to stdout")
+		every    = fs.Int64("every", 7, "CSV sampling period in ms")
+		dump     = fs.Bool("dump", false, "hex-dump the master node memory after the run")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	if err := checkFlags(*mass, *velocity, *observe, *every); err != nil {
+		return err
+	}
 
 	ver, err := parseVersion(*version)
 	if err != nil {
@@ -116,9 +124,6 @@ func streamCSV(tc easig.TestCase, ver easig.Version, seed, observe, every int64)
 	}
 	set := trace.NewSet(every,
 		"SetValue", "IsValue", "i", "pulscnt", "ms_slot_nbr", "mscnt", "OutValue")
-	if every < 1 {
-		every = 1
-	}
 	v := sys.Master().Vars()
 	for ms := int64(0); ms < observe; ms++ {
 		sys.StepMs()
@@ -159,6 +164,25 @@ func runAndDump(tc easig.TestCase, ver easig.Version, injected *easig.InjectionE
 		sys.StepMs()
 	}
 	return mem.Dump(os.Stdout)
+}
+
+// checkFlags rejects inputs the simulation would otherwise accept
+// silently: a test case outside the paper's envelope (mass 8000-20000
+// kg, velocity 40-70 m/s, bounds inclusive), a non-positive -observe
+// (the normal mode would run the library's 40 s default, -csv would
+// write an empty trace) and a non-positive -every.
+func checkFlags(mass, velocity float64, observe, every int64) error {
+	switch {
+	case !(mass >= 8000 && mass <= 20000):
+		return fmt.Errorf("-mass must be within 8000-20000 kg, got %g", mass)
+	case !(velocity >= 40 && velocity <= 70):
+		return fmt.Errorf("-velocity must be within 40-70 m/s, got %g", velocity)
+	case observe <= 0:
+		return fmt.Errorf("-observe must be a positive number of ms, got %d", observe)
+	case every <= 0:
+		return fmt.Errorf("-every must be a positive number of ms, got %d", every)
+	}
+	return nil
 }
 
 func parseVersion(s string) (easig.Version, error) {

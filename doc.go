@@ -40,9 +40,8 @@
 // Resume / Progress). Results render through a pluggable
 // reporter (CampaignReporter: a ReportFormat paired with a
 // ReportOutput), and campaigns distribute across machines through the
-// ficd service — shard plans, lease boards and shard-journal merges
-// (PlanShards, ShardBoard, MergeShards) whose merged tables are
-// byte-identical to a single-process run. See the cmd/fic, cmd/ficd
+// ficd service (cmd/ficd), whose merged shard tables are byte-identical
+// to a single-process run. See the cmd/fic, cmd/ficd
 // and cmd/arrest tools, the examples directory, EXPERIMENTS.md for
 // paper-versus-measured results, ARCHITECTURE.md for the package map,
 // the run-loop data flow and the determinism contract behind campaign

@@ -539,42 +539,12 @@ func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, c
 			}
 		}
 		if cfg.Progress != nil {
-			ev := journal.ProgressEvent{
-				Experiment: exp,
-				Completed:  completed,
-				Resumed:    resumed,
-				Total:      total,
-				Elapsed:    time.Since(start),
-			}
-			if live := completed - resumed; ev.Elapsed > 0 && live > 0 {
-				ev.RunsPerSec = float64(live) / ev.Elapsed.Seconds()
-				ev.ETA = time.Duration(float64(total-completed) / ev.RunsPerSec * float64(time.Second))
-			}
-			cfg.Progress(ev)
+			cfg.Progress(Progress(exp, completed, resumed, total, start))
 		}
 	}
 
 	wall := time.Since(start)
-	metrics := journal.Metrics{
-		Experiment: exp,
-		Runs:       completed - resumed,
-		Resumed:    resumed,
-		WallMs:     wall.Milliseconds(),
-		Runner:     mode.String(),
-	}
-	if wall > 0 {
-		metrics.RunsPerSec = float64(metrics.Runs) / wall.Seconds()
-	}
-	var st inject.RunnerStats
-	for _, s := range rstats {
-		st = st.Add(s)
-	}
-	metrics.Errors = st.Errors
-	metrics.Simulated = st.Simulated
-	metrics.Pruned = st.Pruned
-	metrics.MemoHits = st.MemoHits
-	metrics.PruneRate = st.PruneRate()
-	metrics.MemoHitRate = st.MemoHitRate()
+	metrics := SweepMetrics(exp, mode, completed-resumed, resumed, wall, rstats)
 	for w := 0; w < cfg.Workers; w++ {
 		wm := journal.WorkerMetrics{Worker: w, Runs: runs[w], BusyMs: busy[w].Milliseconds(), Stolen: stolen[w]}
 		if wall > 0 {

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"sync/atomic"
+	"time"
 
 	"easig/internal/inject"
+	"easig/internal/journal"
 	"easig/internal/target"
 )
 
@@ -232,4 +234,51 @@ func (wr *workerRunners) runBatch(b batch, emit func(outcome) bool) error {
 		f.FlushShared()
 	}
 	return nil
+}
+
+// Progress is the progress event of a sweep started at start that has
+// completed runs of total, resumed of them replayed from a journal. The
+// rate and ETA count live runs only, so a resumed sweep does not report
+// its replayed runs as throughput. Campaigns and the optimizer's
+// lattice sweep both report through it.
+func Progress(exp string, completed, resumed, total int, start time.Time) journal.ProgressEvent {
+	ev := journal.ProgressEvent{
+		Experiment: exp,
+		Completed:  completed,
+		Resumed:    resumed,
+		Total:      total,
+		Elapsed:    time.Since(start),
+	}
+	if live := completed - resumed; ev.Elapsed > 0 && live > 0 {
+		ev.RunsPerSec = float64(live) / ev.Elapsed.Seconds()
+		ev.ETA = time.Duration(float64(total-completed) / ev.RunsPerSec * float64(time.Second))
+	}
+	return ev
+}
+
+// SweepMetrics is the journal.Metrics of a sweep that ran runs live
+// (plus resumed replayed ones) in wall time on mode's runners, with the
+// per-worker runner stats folded into its error accounting.
+func SweepMetrics(exp string, mode inject.Mode, runs, resumed int, wall time.Duration, rstats []inject.RunnerStats) journal.Metrics {
+	m := journal.Metrics{
+		Experiment: exp,
+		Runs:       runs,
+		Resumed:    resumed,
+		WallMs:     wall.Milliseconds(),
+		Runner:     mode.String(),
+	}
+	if wall > 0 {
+		m.RunsPerSec = float64(runs) / wall.Seconds()
+	}
+	var st inject.RunnerStats
+	for _, s := range rstats {
+		st = st.Add(s)
+	}
+	m.Errors = st.Errors
+	m.Simulated = st.Simulated
+	m.Pruned = st.Pruned
+	m.MemoHits = st.MemoHits
+	m.PruneRate = st.PruneRate()
+	m.MemoHitRate = st.MemoHitRate()
+	return m
 }

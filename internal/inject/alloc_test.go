@@ -60,7 +60,7 @@ func TestViolatingTickZeroAlloc(t *testing.T) {
 		}
 		eng.rec.truncate(&eng.baseLen, &eng.baseEA)
 		for i := 0; i < ticks; i++ {
-			if (i % int(eng.policy.PeriodMs)) == 0 {
+			if (i % int(eng.cfg.Policy.PeriodMs)) == 0 {
 				if err := e.Apply(eng.mem); err != nil {
 					t.Fatal(err)
 				}
@@ -108,5 +108,41 @@ func TestEngineErrorRunZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("engine error run allocates %.1f objects; want 0", avg)
+	}
+}
+
+// TestProbeErrorZeroAlloc extends the gate to the optimizer's probe:
+// Probe.ProfileError runs the engine's simulate kernel and projects the
+// record onto an EAProfile value, so after warm-up neither the
+// snapshot-mode nor the pruning (memo-mode) probe touches the heap. The
+// probe recorders keep first violations only, so their streams stop
+// growing after the first fired assertion.
+func TestProbeErrorZeroAlloc(t *testing.T) {
+	cfg := RunConfig{
+		TestCase:      physics.TestCase{MassKg: 14000, VelocityMS: 55},
+		ObservationMs: engineObsMs,
+		Seed:          1,
+	}
+	errs := BuildE1()
+	for _, mode := range []Mode{ModeSnapshot, ModeMemo} {
+		probe, err := NewProbe(mode, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(errs); i += 7 {
+			if _, err := probe.ProfileError(errs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := probe.ProfileError(errs[(i*7)%len(errs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("%s probe allocates %.2f objects per ProfileError; want 0", mode, avg)
+		}
 	}
 }

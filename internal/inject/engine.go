@@ -44,16 +44,20 @@ type eaStream struct {
 	haveReadout bool
 }
 
-// recorder is the profile run's detection sink: it demultiplexes the
-// master node's violation stream per executable assertion, which is
-// what lets one all-assertions run stand in for every version build.
+// recorder is the profile run's detection sink: it demultiplexes one
+// node's violation stream per executable assertion, which is what lets
+// one all-assertions run stand in for every version build.
 type recorder struct {
 	sigIdx map[string]int
 	ea     [target.NumEAs]eaStream
+	// firstOnly keeps only each assertion's first violation. Probes
+	// read nothing else, and it keeps a fault that fires on every tick
+	// from growing their streams.
+	firstOnly bool
 }
 
-func newRecorder() *recorder {
-	r := &recorder{sigIdx: make(map[string]int, target.NumEAs)}
+func newRecorder(firstOnly bool) *recorder {
+	r := &recorder{sigIdx: make(map[string]int, target.NumEAs), firstOnly: firstOnly}
 	for k, name := range target.SignalNames() {
 		r.sigIdx[name] = k
 	}
@@ -67,6 +71,9 @@ func (r *recorder) Detect(v core.Violation) {
 		return
 	}
 	s := &r.ea[k]
+	if r.firstOnly && len(s.times) > 0 {
+		return
+	}
 	s.times = append(s.times, v.Time)
 	s.ids = append(s.ids, v.Test)
 }
@@ -81,6 +88,13 @@ func (r *recorder) truncate(lens *[target.NumEAs]int, readouts *[target.NumEAs]e
 		s.ids = s.ids[:lens[k]]
 		s.readout = readouts[k].readout
 		s.haveReadout = readouts[k].haveReadout
+	}
+}
+
+// reset empties the recorder, reusing the stream buffers.
+func (r *recorder) reset() {
+	for k := range r.ea {
+		r.ea[k] = eaStream{times: r.ea[k].times[:0], ids: r.ea[k].ids[:0]}
 	}
 }
 
@@ -101,15 +115,20 @@ func (r *recorder) truncate(lens *[target.NumEAs]int, readouts *[target.NumEAs]e
 // first-detection time, latency, per-constraint counts, injections and
 // plant verdict — via RunError.
 //
+// The same engine, built with a recorder on the slave node too, is the
+// optimizer's Probe: both share simulate, the one restore → inject →
+// step → quiet-window loop, and differ only in how they read the record.
+//
 // An Engine is not safe for concurrent use; each campaign worker owns
 // one.
 type Engine struct {
-	cfg     RunConfig
-	policy  Policy
-	obs     int64
-	sys     *target.System
-	mem     *memory.Memory
-	rec     *recorder
+	cfg RunConfig // defaults filled in
+	sys *target.System
+	mem *memory.Memory
+	rec *recorder
+	// slave records the slave node's first violations on probe
+	// engines; nil on campaign engines, which score master builds only.
+	slave   *recorder
 	base    target.SystemState
 	baseLen [target.NumEAs]int
 	baseEA  [target.NumEAs]eaStream
@@ -153,17 +172,14 @@ type nominalProfile struct {
 // versions genuinely diverge, so campaigns with recovery fall back to
 // from-scratch runs.
 func NewEngine(cfg RunConfig) (*Engine, error) {
-	e, err := newEngineShell(cfg)
+	e, err := newEngineShell(cfg, false)
 	if err != nil {
 		return nil, err
 	}
 
 	// Nominal prefix: every error of the test case shares the
 	// trajectory up to the first injection, so it is simulated once.
-	prefix := e.policy.StartMs
-	if prefix > e.obs {
-		prefix = e.obs
-	}
+	prefix := min(e.cfg.Policy.StartMs, e.cfg.ObservationMs)
 	for ms := int64(0); ms < prefix; ms++ {
 		e.step()
 	}
@@ -180,21 +196,17 @@ func NewEngine(cfg RunConfig) (*Engine, error) {
 
 // newEngineShell builds the engine struct and its instrumented system
 // without fast-forwarding it: NewEngine simulates the nominal prefix
-// itself, NewEngineFromProfile restores a shared snapshot instead.
-func newEngineShell(cfg RunConfig) (*Engine, error) {
-	if cfg.Recovery != nil {
-		if _, ok := cfg.Recovery.(core.NoRecovery); !ok {
-			return nil, fmt.Errorf("inject: engine requires detection-only runs (core.NoRecovery), got %T", cfg.Recovery)
-		}
+// itself, newEngineFromProfile restores a shared snapshot instead, and
+// the literal probe runs it from time zero. A probe engine runs the
+// all-assertions build on the slave node too and records first
+// violations only, on both nodes.
+func newEngineShell(cfg RunConfig, probe bool) (*Engine, error) {
+	cfg = cfg.withDefaults()
+	if !detectionOnly(cfg.Recovery) {
+		return nil, fmt.Errorf("inject: engine requires detection-only runs (core.NoRecovery), got %T", cfg.Recovery)
 	}
-	e := &Engine{cfg: cfg, policy: cfg.Policy, obs: cfg.ObservationMs, rec: newRecorder()}
-	if e.policy.PeriodMs <= 0 {
-		e.policy = DefaultPolicy()
-	}
-	if e.obs <= 0 {
-		e.obs = DefaultObservationMs
-	}
-	sys, err := target.NewSystem(target.SystemConfig{
+	e := &Engine{cfg: cfg, rec: newRecorder(probe)}
+	sc := target.SystemConfig{
 		Constants:  cfg.Constants,
 		ForceTable: cfg.ForceTable,
 		TestCase:   cfg.TestCase,
@@ -203,7 +215,13 @@ func newEngineShell(cfg RunConfig) (*Engine, error) {
 		Sink:       e.rec,
 		Recovery:   core.NoRecovery{},
 		Placement:  cfg.Placement,
-	})
+	}
+	if probe {
+		e.slave = newRecorder(true)
+		sc.SlaveVersion = target.VersionAll
+		sc.SlaveSink = e.slave
+	}
+	sys, err := target.NewSystem(sc)
 	if err != nil {
 		return nil, fmt.Errorf("inject: building engine system: %w", err)
 	}
@@ -259,27 +277,8 @@ func (e *Engine) RunError(err Error, versions []target.Version, out []RunResult)
 			out[vi].ByTest = nil
 		}
 	}
-	if rerr := e.rewind(); rerr != nil {
-		return rerr
-	}
-
-	for ms := e.policy.StartMs; ms < e.obs; ms++ {
-		if (ms-e.policy.StartMs)%e.policy.PeriodMs == 0 {
-			if aerr := err.Apply(e.mem); aerr != nil {
-				// err is passed by value: taking its address here would
-				// force the parameter to the heap on every (non-failing)
-				// call and break the zero-alloc gate.
-				return fmt.Errorf("inject: applying %v: %w", err, aerr)
-			}
-		}
-		e.step()
-		// Quiet-window exit: the failure verdict is frozen by the stop,
-		// and after QuietWindowMs of post-stop settling no assertion
-		// fires a first violation anymore — the outcome of every
-		// version is decided.
-		if stopMs, stopped := e.sys.Env().Stopped(); stopped && ms-(stopMs-1) >= QuietWindowMs {
-			break
-		}
+	if serr := e.simulate(err); serr != nil {
+		return serr
 	}
 
 	env := e.sys.Env()
@@ -300,6 +299,43 @@ func (e *Engine) RunError(err Error, versions []target.Version, out []RunResult)
 	return nil
 }
 
+// simulate is the fault-execution kernel of every fast runner and
+// probe: it restores the nominal snapshot, flips err's bit on the §3.2
+// schedule and steps until the outcome is decided — the post-stop quiet
+// window has elapsed, or the observation window ends. The run's record
+// is left in the recorders and its plant state in the system, for
+// RunError's per-version derivation or the probe's first-violation
+// projection.
+func (e *Engine) simulate(err Error) error {
+	if rerr := e.rewind(); rerr != nil {
+		return rerr
+	}
+	pol := e.cfg.Policy
+	for ms := pol.StartMs; ms < e.cfg.ObservationMs; ms++ {
+		if (ms-pol.StartMs)%pol.PeriodMs == 0 {
+			if aerr := err.Apply(e.mem); aerr != nil {
+				// err is passed by value: taking its address here would
+				// force the parameter to the heap on every (non-failing)
+				// call and break the zero-alloc gate.
+				return fmt.Errorf("inject: applying %v: %w", err, aerr)
+			}
+		}
+		e.step()
+		// Quiet-window exit: the failure verdict is frozen by the stop,
+		// and after QuietWindowMs of post-stop settling no assertion
+		// fires a first violation anymore — the outcome of every
+		// version is decided. The window bounds the decay of the
+		// actuation transient both nodes' assertions observe, so it is
+		// as sound for a probe's slave record as for the master's
+		// (TestProbeModesMatchLiteral re-verifies it against
+		// full-window literal runs).
+		if stopMs, stopped := e.sys.Env().Stopped(); stopped && ms-(stopMs-1) >= QuietWindowMs {
+			break
+		}
+	}
+	return nil
+}
+
 // rewind restores the engine to its captured nominal snapshot at the
 // first injection time, ready to profile the next error.
 func (e *Engine) rewind() error {
@@ -307,6 +343,9 @@ func (e *Engine) rewind() error {
 		return fmt.Errorf("inject: restoring snapshot: %w", err)
 	}
 	e.rec.truncate(&e.baseLen, &e.baseEA)
+	if e.slave != nil {
+		e.slave.reset()
+	}
 	e.failReadout = e.baseFailReadout
 	e.haveFailReadout = e.baseHaveFail
 	return nil
@@ -333,8 +372,9 @@ func (e *Engine) ProfileNominal(sink memory.AccessSink, onInject func()) error {
 		return err
 	}
 	e.mem.SetAccessSink(sink)
-	for ms := e.policy.StartMs; ms < e.obs; ms++ {
-		if onInject != nil && (ms-e.policy.StartMs)%e.policy.PeriodMs == 0 {
+	pol := e.cfg.Policy
+	for ms := pol.StartMs; ms < e.cfg.ObservationMs; ms++ {
+		if onInject != nil && (ms-pol.StartMs)%pol.PeriodMs == 0 {
 			onInject()
 		}
 		e.step()
@@ -416,18 +456,16 @@ func (e *Engine) deriveFrom(ea *[target.NumEAs]eaStream, failReadout plantReadou
 	}
 
 	// Exit tick of the from-scratch loop.
-	exit := e.obs - 1
+	exit := e.cfg.ObservationMs - 1
 	if first != never && settle != never {
-		if x := max64(first, settle); x < exit {
-			exit = x
-		}
+		exit = min(exit, max(first, settle))
 	}
 
 	var res RunResult
 	res.Detected = first != never
 	if res.Detected {
 		res.FirstDetectionMs = first
-		res.LatencyMs = first - e.policy.StartMs
+		res.LatencyMs = first - e.cfg.Policy.StartMs
 	}
 
 	// Per-constraint counts up to and including the exit tick.
@@ -450,8 +488,8 @@ func (e *Engine) deriveFrom(ea *[target.NumEAs]eaStream, failReadout plantReadou
 	}
 
 	// Injections performed by the from-scratch loop up to the exit tick.
-	if exit >= e.policy.StartMs {
-		res.Injections = int((exit-e.policy.StartMs)/e.policy.PeriodMs) + 1
+	if pol := e.cfg.Policy; exit >= pol.StartMs {
+		res.Injections = int((exit-pol.StartMs)/pol.PeriodMs) + 1
 	}
 
 	// Plant verdict and readouts at the exit tick.
@@ -502,11 +540,4 @@ func (e *Engine) takeBT() map[core.TestID]int {
 		return m
 	}
 	return make(map[core.TestID]int, 4)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

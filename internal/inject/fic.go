@@ -60,6 +60,23 @@ type RunConfig struct {
 	ForceTable *physics.ForceTable
 }
 
+// withDefaults returns cfg with a zero schedule, window and recovery
+// policy replaced by the paper's: DefaultPolicy, DefaultObservationMs
+// and core.NoRecovery. The literal run, the engines and the probes all
+// fill their defaults here.
+func (cfg RunConfig) withDefaults() RunConfig {
+	if cfg.Policy.PeriodMs <= 0 {
+		cfg.Policy = DefaultPolicy()
+	}
+	if cfg.ObservationMs <= 0 {
+		cfg.ObservationMs = DefaultObservationMs
+	}
+	if cfg.Recovery == nil {
+		cfg.Recovery = core.NoRecovery{}
+	}
+	return cfg
+}
+
 // RunResult is one run's readout record: what the FIC3 stores from the
 // detection pin and the environment simulator.
 type RunResult struct {
@@ -118,18 +135,8 @@ func (p *pinSink) Detect(v core.Violation) {
 
 // Run executes one experiment run and returns its readouts.
 func Run(cfg RunConfig) (RunResult, error) {
+	cfg = cfg.withDefaults()
 	policy := cfg.Policy
-	if policy.PeriodMs <= 0 {
-		policy = DefaultPolicy()
-	}
-	obs := cfg.ObservationMs
-	if obs <= 0 {
-		obs = DefaultObservationMs
-	}
-	recovery := cfg.Recovery
-	if recovery == nil {
-		recovery = core.NoRecovery{}
-	}
 	pin := &pinSink{}
 	sys, err := target.NewSystem(target.SystemConfig{
 		Constants:  cfg.Constants,
@@ -138,7 +145,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Seed:       cfg.Seed,
 		Version:    cfg.Version,
 		Sink:       pin,
-		Recovery:   recovery,
+		Recovery:   cfg.Recovery,
 		Placement:  cfg.Placement,
 	})
 	if err != nil {
@@ -147,7 +154,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 
 	var res RunResult
 	mem := sys.Master().Memory()
-	for ms := int64(0); ms < obs; ms++ {
+	for ms := int64(0); ms < cfg.ObservationMs; ms++ {
 		if cfg.Error != nil && ms >= policy.StartMs && (ms-policy.StartMs)%policy.PeriodMs == 0 {
 			if err := cfg.Error.Apply(mem); err != nil {
 				return RunResult{}, fmt.Errorf("inject: applying %v: %w", cfg.Error, err)

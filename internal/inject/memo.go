@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"easig/internal/core"
-	"easig/internal/memory"
 	"easig/internal/target"
 )
 
@@ -64,25 +63,18 @@ func NewMemoRunner(cfg RunConfig) (*MemoRunner, error) {
 	}, nil
 }
 
-// stateHash hashes err's post-injection state delta against the
-// runner's snapshot; see stateDeltaHash.
+// stateHash is the FNV-1a hash of err's post-injection state delta:
+// which byte differs from the case's snapshot (baseM, indexed like the
+// memory regions), what it now holds, and the mask the periodic
+// schedule keeps toggling. Two errors with equal hashes corrupt the
+// snapshot into the same state and re-corrupt it on the same schedule,
+// so their runs are the same run.
 func (r *MemoRunner) stateHash(err Error) (uint64, error) {
-	return stateDeltaHash(r.eng.mem.Regions(), r.baseM, err)
-}
-
-// stateDeltaHash is the FNV-1a hash of a post-injection state delta:
-// which byte differs from the case's snapshot (baseM, indexed like
-// regions), what it now holds, and the mask the periodic schedule keeps
-// toggling. Two errors with equal hashes corrupt the snapshot into the
-// same state and re-corrupt it on the same schedule, so their runs are
-// the same run. The MemoRunner and the optimizer's Probe share this
-// memo key.
-func stateDeltaHash(regions []memory.RegionSpec, baseM [][]byte, err Error) (uint64, error) {
 	var base byte
 	found := false
-	for i, spec := range regions {
+	for i, spec := range r.eng.mem.Regions() {
 		if err.Addr >= spec.Base && uint32(err.Addr) < spec.End() {
-			base = baseM[i][err.Addr-spec.Base]
+			base = r.baseM[i][err.Addr-spec.Base]
 			found = true
 			break
 		}
@@ -146,7 +138,7 @@ func (r *MemoRunner) RunError(err Error, versions []target.Version, out []RunRes
 		return nil
 	}
 
-	if rerr := r.simulate(err, versions, out); rerr != nil {
+	if rerr := r.serveSimulated(err, versions, out); rerr != nil {
 		return rerr
 	}
 	r.memo[h] = memoEntry{

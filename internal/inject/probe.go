@@ -3,26 +3,26 @@ package inject
 import (
 	"fmt"
 
-	"easig/internal/core"
-	"easig/internal/memory"
+	"easig/internal/physics"
 	"easig/internal/target"
 )
 
-// This file is the optimizer's measurement primitive: a dual-node
-// variant of the fast-forward Engine that profiles one error into the
-// per-node, per-assertion first-violation matrix from which
-// internal/optimize derives the outcome of EVERY configuration of the
-// lattice — all 2^7 assertion subsets × {master, slave, both} — with
-// zero additional simulation (OPTIMIZER.md "Subset derivation").
+// This file is the optimizer's measurement primitive: a projection of
+// the campaign Engine's record onto the per-node, per-assertion
+// first-violation matrix from which internal/optimize derives the
+// outcome of EVERY configuration of the lattice — all 2^7 assertion
+// subsets × {master, slave, both} — with zero additional simulation
+// (OPTIMIZER.md "Subset derivation").
 //
-// The campaign Engine wires a detection sink to the master node only,
-// because the paper's Tables 7-9 score master builds. A configuration
-// lattice that places assertions on the slave needs the slave's
-// violation stream too: faults are injected into MASTER memory, and the
-// slave can only see corruption that propagates over the set-point
-// link, so its first-violation times are genuinely different data. The
-// Probe therefore builds its system with BOTH nodes on the
-// all-assertions build and a first-violation sink on each.
+// The campaign Engine records the master node only, because the
+// paper's Tables 7-9 score master builds. A configuration lattice that
+// places assertions on the slave needs the slave's violation stream
+// too: faults are injected into MASTER memory, and the slave can only
+// see corruption that propagates over the set-point link, so its
+// first-violation times are genuinely different data. A Probe therefore
+// runs on a probe engine: the same Engine, serving errors through the
+// same simulate kernel, with BOTH nodes on the all-assertions build and
+// a first-violation recorder on each.
 
 // EAProfile is one error's probe readout: for each node, each
 // executable assertion's first-violation time (-1 when the assertion
@@ -43,58 +43,16 @@ type EAProfile struct {
 	FailTickMs int64
 }
 
-// firstSink records the first violation time per executable assertion;
-// it is the probe's per-node detection sink.
-type firstSink struct {
-	sigIdx map[string]int
-	first  [target.NumEAs]int64
-}
-
-func newFirstSink() *firstSink {
-	s := &firstSink{sigIdx: make(map[string]int, target.NumEAs)}
-	for k, name := range target.SignalNames() {
-		s.sigIdx[name] = k
-	}
-	s.reset()
-	return s
-}
-
-// Detect implements core.DetectionSink.
-func (s *firstSink) Detect(v core.Violation) {
-	k, ok := s.sigIdx[v.Signal]
-	if !ok {
-		return
-	}
-	if s.first[k] < 0 {
-		s.first[k] = v.Time
-	}
-}
-
-// reset rewinds the sink for the next error.
-func (s *firstSink) reset() {
-	for k := range s.first {
-		s.first[k] = -1
-	}
-}
-
-// clean reports an empty sink (no violation recorded yet).
-func (s *firstSink) clean() bool {
-	for _, t := range s.first {
-		if t >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Probe profiles the errors of one (test case, injection schedule) into
-// EAProfiles. Like the Engine it restores a nominal-prefix snapshot per
-// error and exits early once the post-stop quiet window has elapsed; in
-// memo mode it additionally serves liveness-pruned faults from the
-// nominal verdict and duplicate state deltas from an outcome memo. A
-// literal-mode probe runs every error from time zero over the FULL
-// observation window on a fresh dual-sink system — the reference
-// semantics the probe equivalence tests pin the fast modes against.
+// EAProfiles. A snapshot-mode probe is the shared pruner with no
+// liveness map: every error is simulated on its probe engine. A
+// memo-mode probe arms the case's full profile, so errors in dead bytes
+// are read off the nominal profile instead; "memo" names the pruning
+// probe (the name is in optimizer journal headers), and probes keep no
+// outcome memo. A literal-mode probe runs every error from time zero
+// over the FULL observation window on a fresh probe engine — the
+// reference semantics the probe equivalence tests pin the fast modes
+// against.
 //
 // Probe runs are detection-only by construction (core.NoRecovery on
 // both nodes): recovery acts only on violations, so the trajectory up
@@ -102,24 +60,10 @@ func (s *firstSink) clean() bool {
 // (OPTIMIZER.md "Recovery invariance"). A Probe is not safe for
 // concurrent use; each sweep worker owns one.
 type Probe struct {
-	cfg    RunConfig
-	policy Policy
-	obs    int64
-	mode   Mode
-
-	sys           *target.System
-	mem           *memory.Memory
-	master, slave *firstSink
-	base          target.SystemState
-
-	// Memo-mode layers (nil otherwise), shared read-only from the
-	// CaseProfile's full stage.
-	live    *Liveness
-	baseM   [][]byte
-	nominal *nominalProfile
-	memo    map[uint64]EAProfile
-
-	stats RunnerStats
+	pruner
+	// literal is the literal probe's run configuration; nil in the fast
+	// modes, whose engine holds it.
+	literal *RunConfig
 }
 
 // ProbeMode maps ModeAuto to the probe sweep's default, memo — liveness
@@ -160,7 +104,7 @@ func NewProbe(mode Mode, cfg RunConfig) (*Probe, error) {
 		return nil, err
 	}
 	if resolved == ModeLiteral {
-		return &Probe{cfg: cfg, policy: normalPolicy(cfg), obs: normalObs(cfg), mode: resolved}, nil
+		return &Probe{literal: &cfg}, nil
 	}
 	e := &profileEntry{}
 	if err := e.computePrefix(cfg); err != nil {
@@ -175,18 +119,17 @@ func NewProbe(mode Mode, cfg RunConfig) (*Probe, error) {
 }
 
 // NewProbeFromProfile builds a probe from a shared CaseProfile, the way
-// the optimizer's sweep workers do: a fresh dual-sink system is built
-// from the same configuration and fast-forwarded by restoring the
-// shared snapshot (the same construction as NewEngineFromProfile — the
-// snapshot captures complete system state including the slave node, so
-// it restores cleanly onto a differently-sinked system). Memo mode
-// requires the profile's full stage (liveness map + nominal profile).
+// the optimizer's sweep workers do: a probe engine fast-forwarded by
+// restoring the shared snapshot (the snapshot captures complete system
+// state including the slave node, so it restores cleanly onto a
+// differently-sinked system). Memo mode requires the profile's full
+// stage (liveness map + nominal profile).
 //
 // The profile's prefix must be detection-free on the master (checked
 // here against the recorded prefix streams) and on the slave (the §3.4
 // nominal gate proves fault-free runs detection-free on BOTH nodes —
 // RunNominal wires both sinks — and the prefix is a fault-free run):
-// only then is everything the probe's post-restore sinks record the
+// only then is everything the probe's post-restore recorders hold the
 // complete violation history of the run.
 func NewProbeFromProfile(mode Mode, p *CaseProfile) (*Probe, error) {
 	resolved, err := resolveProbeMode(mode, p.cfg)
@@ -194,195 +137,92 @@ func NewProbeFromProfile(mode Mode, p *CaseProfile) (*Probe, error) {
 		return nil, err
 	}
 	if resolved == ModeLiteral {
-		return &Probe{cfg: p.cfg, policy: normalPolicy(p.cfg), obs: normalObs(p.cfg), mode: resolved}, nil
+		cfg := p.cfg
+		return &Probe{literal: &cfg}, nil
 	}
 	for k := range p.prefixEA {
 		if len(p.prefixEA[k].times) > 0 {
 			return nil, fmt.Errorf("inject: probe needs a detection-free nominal prefix, but EA%d fired at %d ms before the first injection", k+1, p.prefixEA[k].times[0])
 		}
 	}
-	pr := &Probe{
-		cfg:    p.cfg,
-		policy: normalPolicy(p.cfg),
-		obs:    normalObs(p.cfg),
-		mode:   resolved,
-		master: newFirstSink(),
-		slave:  newFirstSink(),
-		base:   p.base,
-	}
-	sys, err := target.NewSystem(target.SystemConfig{
-		Constants:    p.cfg.Constants,
-		ForceTable:   p.cfg.ForceTable,
-		TestCase:     p.cfg.TestCase,
-		Seed:         p.cfg.Seed,
-		Version:      target.VersionAll,
-		SlaveVersion: target.VersionAll,
-		Sink:         pr.master,
-		SlaveSink:    pr.slave,
-		Recovery:     core.NoRecovery{},
-		Placement:    p.cfg.Placement,
-	})
+	eng, err := newEngineFromProfile(p, true)
 	if err != nil {
-		return nil, fmt.Errorf("inject: building probe system: %w", err)
+		return nil, err
 	}
-	pr.sys = sys
-	pr.mem = sys.Master().Memory()
-	if err := sys.Restore(&pr.base); err != nil {
-		return nil, fmt.Errorf("inject: fast-forwarding probe from shared profile: %w", err)
-	}
+	pr := &Probe{pruner: pruner{eng: eng}}
 	if resolved == ModeMemo {
-		if p.live == nil || p.nominal == nil {
-			return nil, fmt.Errorf("inject: memo probe needs the full profile stage (ProfileCache.Get with full=true)")
+		if err := pr.arm(p); err != nil {
+			return nil, err
 		}
-		pr.live = p.live
-		pr.baseM = p.baseMem
-		pr.nominal = p.nominal
-		pr.memo = make(map[uint64]EAProfile)
 	}
 	return pr, nil
-}
-
-func normalPolicy(cfg RunConfig) Policy {
-	if cfg.Policy.PeriodMs <= 0 {
-		return DefaultPolicy()
-	}
-	return cfg.Policy
-}
-
-func normalObs(cfg RunConfig) int64 {
-	if cfg.ObservationMs <= 0 {
-		return DefaultObservationMs
-	}
-	return cfg.ObservationMs
 }
 
 // ProfileError profiles one error of the probe's test case into its
 // dual-node EAProfile.
 func (p *Probe) ProfileError(err Error) (EAProfile, error) {
 	p.stats.Errors++
-	if p.mode == ModeLiteral {
-		prof, lerr := p.profileLiteral(err)
-		if lerr != nil {
-			return EAProfile{}, lerr
-		}
-		p.stats.Simulated++
-		return prof, nil
+	if p.literal != nil {
+		return p.profileLiteral(err)
 	}
-
-	if p.live != nil && !p.live.Live(err.Addr) {
-		// Liveness-pruned: the fault is provably benign, the trajectory
-		// is the nominal one, and the nominal run is detection-free on
-		// both nodes (the §3.4 nominal gate) — so every first-violation
-		// slot is -1 and the verdict is the nominal verdict.
-		p.stats.Pruned++
-		return p.nominalProfile(), nil
+	if p.prunes(err) {
+		// Provably benign: the trajectory is the nominal one, which the
+		// §3.4 nominal gate proves detection-free on the slave as well.
+		np := p.eng.nominal
+		return projectProbe(&np.ea, nil, np.failure, np.failed), nil
 	}
-	if p.memo != nil {
-		h, herr := stateDeltaHash(p.mem.Regions(), p.baseM, err)
-		if herr != nil {
-			return EAProfile{}, herr
-		}
-		if prof, ok := p.memo[h]; ok {
-			p.stats.MemoHits++
-			return prof, nil
-		}
-		prof, serr := p.profileSnapshot(err)
-		if serr != nil {
-			return EAProfile{}, serr
-		}
-		p.stats.Simulated++
-		p.memo[h] = prof
-		return prof, nil
-	}
-	prof, serr := p.profileSnapshot(err)
-	if serr != nil {
+	if serr := p.eng.simulate(err); serr != nil {
 		return EAProfile{}, serr
 	}
 	p.stats.Simulated++
-	return prof, nil
+	return p.eng.probeProfile(), nil
 }
 
-// nominalProfile is the EAProfile of a provably benign fault.
-func (p *Probe) nominalProfile() EAProfile {
-	prof := EAProfile{}
-	for k := range prof.Master {
-		prof.Master[k] = -1
-		prof.Slave[k] = -1
-	}
-	if p.nominal != nil && p.nominal.failed {
-		prof.Failed = true
-		prof.FailTickMs = p.nominal.failure.TimeMs - 1
-	}
-	return prof
-}
-
-// profileSnapshot serves one error from the restored snapshot with the
-// engine's injection loop and quiet-window exit.
-func (p *Probe) profileSnapshot(err Error) (EAProfile, error) {
-	if rerr := p.sys.Restore(&p.base); rerr != nil {
-		return EAProfile{}, fmt.Errorf("inject: restoring probe snapshot: %w", rerr)
-	}
-	p.master.reset()
-	p.slave.reset()
-	for ms := p.policy.StartMs; ms < p.obs; ms++ {
-		if (ms-p.policy.StartMs)%p.policy.PeriodMs == 0 {
-			if aerr := err.Apply(p.mem); aerr != nil {
-				return EAProfile{}, fmt.Errorf("inject: applying %v: %w", err, aerr)
-			}
-		}
-		p.sys.StepMs()
-		// The quiet-window exit is sound for the slave's streams for the
-		// same reason it is for the master's: the window bounds the decay
-		// of the shared actuation transient, and both nodes' assertions
-		// observe the same physical signals (the probe equivalence suite
-		// re-verifies this against full-window literal runs).
-		if stopMs, stopped := p.sys.Env().Stopped(); stopped && ms-(stopMs-1) >= QuietWindowMs {
-			break
-		}
-	}
-	return readout(p.master, p.slave, p.sys), nil
-}
-
-// profileLiteral serves one error from a fresh system over the full
-// observation window.
+// profileLiteral serves one error from a fresh probe engine, simulated
+// from time zero over the full observation window.
 func (p *Probe) profileLiteral(err Error) (EAProfile, error) {
-	master, slave := newFirstSink(), newFirstSink()
-	sys, serr := target.NewSystem(target.SystemConfig{
-		Constants:    p.cfg.Constants,
-		ForceTable:   p.cfg.ForceTable,
-		TestCase:     p.cfg.TestCase,
-		Seed:         p.cfg.Seed,
-		Version:      target.VersionAll,
-		SlaveVersion: target.VersionAll,
-		Sink:         master,
-		SlaveSink:    slave,
-		Recovery:     core.NoRecovery{},
-		Placement:    p.cfg.Placement,
-	})
+	e, serr := newEngineShell(*p.literal, true)
 	if serr != nil {
-		return EAProfile{}, fmt.Errorf("inject: building literal probe system: %w", serr)
+		return EAProfile{}, serr
 	}
-	mem := sys.Master().Memory()
-	for ms := int64(0); ms < p.obs; ms++ {
-		if ms >= p.policy.StartMs && (ms-p.policy.StartMs)%p.policy.PeriodMs == 0 {
-			if aerr := err.Apply(mem); aerr != nil {
+	pol := e.cfg.Policy
+	for ms := int64(0); ms < e.cfg.ObservationMs; ms++ {
+		if ms >= pol.StartMs && (ms-pol.StartMs)%pol.PeriodMs == 0 {
+			if aerr := err.Apply(e.mem); aerr != nil {
 				return EAProfile{}, fmt.Errorf("inject: applying %v: %w", err, aerr)
 			}
 		}
-		sys.StepMs()
+		e.sys.StepMs()
 	}
-	return readout(master, slave, sys), nil
+	p.stats.Simulated++
+	return e.probeProfile(), nil
 }
 
-// readout assembles the EAProfile from a run's sinks and environment.
-func readout(master, slave *firstSink, sys *target.System) EAProfile {
-	prof := EAProfile{Master: master.first, Slave: slave.first}
-	if failure, failed := sys.Env().Failure(); failed {
+// probeProfile projects a probe engine's record and plant verdict onto
+// an EAProfile.
+func (e *Engine) probeProfile() EAProfile {
+	failure, failed := e.sys.Env().Failure()
+	return projectProbe(&e.rec.ea, &e.slave.ea, failure, failed)
+}
+
+// projectProbe reads an EAProfile off per-(node, EA) violation
+// streams: each stream's first violation time, -1 for an empty stream
+// or an absent (nil) node, plus the failure verdict on the violation
+// clock.
+func projectProbe(master, slave *[target.NumEAs]eaStream, failure physics.Failure, failed bool) EAProfile {
+	var prof EAProfile
+	for k := range prof.Master {
+		prof.Master[k], prof.Slave[k] = -1, -1
+		if len(master[k].times) > 0 {
+			prof.Master[k] = master[k].times[0]
+		}
+		if slave != nil && len(slave[k].times) > 0 {
+			prof.Slave[k] = slave[k].times[0]
+		}
+	}
+	if failed {
 		prof.Failed = true
 		prof.FailTickMs = failure.TimeMs - 1
 	}
 	return prof
 }
-
-// Stats implements StatsReporter.
-func (p *Probe) Stats() RunnerStats { return p.stats }

@@ -10,7 +10,8 @@ import (
 
 // probeErrors is the equivalence sweep's error sample: a spread of E1
 // signal errors (some detected fast, some never), an E2 sample with
-// duplicate draws (exercising the probe memo), and a few exhaustive
+// duplicate draws (each draw re-simulated on the probe engine, which
+// must give the same profile every time), and a few exhaustive
 // positions that the liveness pass prunes.
 func probeErrors(t *testing.T) []Error {
 	t.Helper()
@@ -30,9 +31,9 @@ func probeErrors(t *testing.T) []Error {
 
 // TestProbeModesMatchLiteral is the probe's equivalence theorem: for
 // every error of the sweep, the snapshot-mode and memo-mode profiles —
-// restored snapshots, quiet-window early exits, liveness pruning, memo
-// hits — are identical, field by field, to the literal reference (a
-// fresh dual-sink system simulated over the full window). This is what
+// restored snapshots, quiet-window early exits, liveness pruning — are
+// identical, field by field, to the literal reference (a
+// fresh probe engine simulated over the full window). This is what
 // certifies the quiet window for the slave's streams too.
 func TestProbeModesMatchLiteral(t *testing.T) {
 	cfg := RunConfig{

@@ -173,7 +173,13 @@ func (e *profileEntry) computeFull() error {
 // built from one profile concurrently. It reads the prefix stage only;
 // the runners that prune install the full stage themselves.
 func NewEngineFromProfile(p *CaseProfile) (*Engine, error) {
-	e, err := newEngineShell(p.cfg)
+	return newEngineFromProfile(p, false)
+}
+
+// newEngineFromProfile is NewEngineFromProfile for a campaign engine or
+// a probe engine (see newEngineShell).
+func newEngineFromProfile(p *CaseProfile, probe bool) (*Engine, error) {
+	e, err := newEngineShell(p.cfg, probe)
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,15 @@ import (
 	"easig/internal/target"
 )
 
-// pruner is the liveness layer shared by PruneRunner and MemoRunner: a
-// snapshot Engine plus the def/use liveness map of its test case. An
-// error whose byte the map proves dead at every injection time is
-// provably benign (see the soundness argument on Liveness), so its
-// per-version results are derived from the case's full-window nominal
-// profile with zero simulation. Everything else is simulated on the
-// engine. The two runners differ only in when the map arrives and in
-// what sits between the pruner and the engine.
+// pruner is the liveness layer shared by PruneRunner, MemoRunner and
+// the optimizer's Probe: a snapshot Engine plus the def/use liveness
+// map of its test case. An error whose byte the map proves dead at
+// every injection time is provably benign (see the soundness argument
+// on Liveness), so its results are read off the case's full-window
+// nominal profile with zero simulation. Everything else is simulated on
+// the engine. The runners differ only in when the map arrives and in
+// what sits between the pruner and the engine; the probe differs in
+// how it projects the record.
 type pruner struct {
 	eng   *Engine
 	live  *Liveness
@@ -49,11 +50,21 @@ func (p *pruner) arm(cp *CaseProfile) error {
 	return nil
 }
 
-// servePruned derives err's results from the nominal profile when the
-// liveness map proves its byte dead, and reports whether it did. With
-// no map yet nothing is pruned.
-func (p *pruner) servePruned(err Error, versions []target.Version, out []RunResult) (bool, error) {
+// prunes reports whether the liveness map proves err's byte dead at
+// every injection time, and counts it as pruned if so. With no map yet
+// nothing is pruned.
+func (p *pruner) prunes(err Error) bool {
 	if p.live == nil || p.live.Live(err.Addr) {
+		return false
+	}
+	p.stats.Pruned++
+	return true
+}
+
+// servePruned derives err's results from the nominal profile when the
+// liveness map proves its byte dead, and reports whether it did.
+func (p *pruner) servePruned(err Error, versions []target.Version, out []RunResult) (bool, error) {
+	if !p.prunes(err) {
 		return false, nil
 	}
 	for i, v := range versions {
@@ -63,12 +74,11 @@ func (p *pruner) servePruned(err Error, versions []target.Version, out []RunResu
 		}
 		out[i] = res
 	}
-	p.stats.Pruned++
 	return true, nil
 }
 
-// simulate serves err on the wrapped engine.
-func (p *pruner) simulate(err Error, versions []target.Version, out []RunResult) error {
+// serveSimulated serves err on the wrapped engine.
+func (p *pruner) serveSimulated(err Error, versions []target.Version, out []RunResult) error {
 	if rerr := p.eng.RunError(err, versions, out); rerr != nil {
 		return rerr
 	}
@@ -137,7 +147,7 @@ func (r *PruneRunner) RunError(err Error, versions []target.Version, out []RunRe
 	if ok, perr := r.servePruned(err, versions, out); ok || perr != nil {
 		return perr
 	}
-	return r.simulate(err, versions, out)
+	return r.serveSimulated(err, versions, out)
 }
 
 // loadFull installs the full profile stage, fetched or self-computed.

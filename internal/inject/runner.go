@@ -46,7 +46,7 @@ type Runner interface {
 // RunnerStats, and `fic -metrics` reports them per campaign. Pruned
 // and MemoHits may only ever replace simulations whose outcomes are
 // provably identical (see Liveness's soundness argument and the
-// stateDeltaHash contract) — a prune or memo hit that could change a
+// stateHash contract) — a prune or memo hit that could change a
 // Table 7-9 cell would be a correctness bug, not a tuning choice.
 type RunnerStats struct {
 	Errors    int

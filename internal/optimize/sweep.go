@@ -423,42 +423,11 @@ func runProbes(spec Spec, opt Options, exp string, mode inject.Mode, errs []inje
 			}
 		}
 		if opt.Progress != nil {
-			ev := journal.ProgressEvent{
-				Experiment: exp,
-				Completed:  completed,
-				Resumed:    resumed,
-				Total:      total,
-				Elapsed:    time.Since(start),
-			}
-			if liveDone := completed - resumed; ev.Elapsed > 0 && liveDone > 0 {
-				ev.RunsPerSec = float64(liveDone) / ev.Elapsed.Seconds()
-				ev.ETA = time.Duration(float64(total-completed) / ev.RunsPerSec * float64(time.Second))
-			}
-			opt.Progress(ev)
+			opt.Progress(experiment.Progress(exp, completed, resumed, total, start))
 		}
 	}
 
-	wall := time.Since(start)
-	metrics := journal.Metrics{
-		Experiment: exp,
-		Runs:       len(outcomes),
-		Resumed:    resumed,
-		WallMs:     wall.Milliseconds(),
-		Runner:     mode.String(),
-	}
-	if wall > 0 {
-		metrics.RunsPerSec = float64(len(outcomes)) / wall.Seconds()
-	}
-	var st inject.RunnerStats
-	for _, s := range rstats {
-		st = st.Add(s)
-	}
-	metrics.Errors = st.Errors
-	metrics.Simulated = st.Simulated
-	metrics.Pruned = st.Pruned
-	metrics.MemoHits = st.MemoHits
-	metrics.PruneRate = st.PruneRate()
-	metrics.MemoHitRate = st.MemoHitRate()
+	metrics := experiment.SweepMetrics(exp, mode, len(outcomes), resumed, time.Since(start), rstats)
 
 	switch {
 	case journalErr != nil:

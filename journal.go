@@ -60,9 +60,3 @@ func LoadJournal(path string) (*JournalLog, error) { return journal.Load(path) }
 // ficd's shard-journal uploads, where the journal arrives as an HTTP
 // body instead of a file.
 func ReadJournal(r io.Reader) (*JournalLog, error) { return journal.Read(r) }
-
-// JournalClaim is one shard-ledger line of a distributed campaign: a
-// lease grant ("claim") or a shard completion ("shard_done"). The ficd
-// service appends these to its per-campaign ledger and replays them on
-// restart to recover the lease board (see SERVICE.md).
-type JournalClaim = journal.Claim

@@ -88,18 +88,6 @@ func BuildE2(seed int64) []InjectionError {
 // counterpart of the paper's 200-error E2 sample.
 func BuildExhaustive() []InjectionError { return inject.BuildExhaustive() }
 
-// Runner is the unified execution contract behind campaigns: literal
-// from-scratch simulation, the fast-forward snapshot engine, and the
-// memoizing/pruning runner all serve errors through it.
-type Runner = inject.Runner
-
-// RunnerStats accounts how a Runner served its errors (simulated,
-// liveness-pruned, memo hits).
-type RunnerStats = inject.RunnerStats
-
-// RunnerStatsReporter is implemented by runners that track RunnerStats.
-type RunnerStatsReporter = inject.StatsReporter
-
 // EngineMode selects the campaign execution engine.
 type EngineMode = inject.Mode
 
@@ -123,12 +111,6 @@ const (
 // ParseEngineMode parses an -engine flag value
 // (auto|literal|snapshot|prune|memo).
 func ParseEngineMode(s string) (EngineMode, error) { return inject.ParseMode(s) }
-
-// NewRunner builds the mode's runner for one test case; campaigns
-// compose runners per worker batch through the same constructor.
-func NewRunner(mode EngineMode, cfg RunConfig) (Runner, error) {
-	return inject.NewRunner(mode, cfg)
-}
 
 // CampaignSpec is the serializable protocol half of a campaign
 // configuration: everything that determines which runs exist and what
@@ -186,16 +168,6 @@ func WriteJSON(w io.Writer, e1 *E1Result, e2 *E2Result) error {
 // one E1 version (which Table 2/3 assertion kind fired).
 func DetectionBreakdown(e1 *E1Result, v Version) string {
 	return experiment.TestBreakdown(e1, v)
-}
-
-// ModelFit is the paper's §2.4 Pdetect model fitted from both
-// campaigns.
-type ModelFit = experiment.ModelFit
-
-// FitModel derives the §2.4 model (Pem, Pds, solved Pprop) from
-// campaign results.
-func FitModel(e1 *E1Result, e2 *E2Result) (ModelFit, error) {
-	return experiment.FitModel(e1, e2)
 }
 
 // VerifyNominal checks the §3.4 precondition: the fault-free grid is
