@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"easig/internal/core"
 	"easig/internal/inject"
@@ -114,7 +112,8 @@ type Exec struct {
 	// campaign seed and run coordinates (see runSeed), a resumed
 	// campaign reproduces the uninterrupted campaign's tables byte for
 	// byte; a journal recorded under a different configuration — seed,
-	// grid or runner mode — is rejected.
+	// grid, runner mode, observation window or injection schedule — or
+	// holding another error set is rejected.
 	Resume *journal.Log
 	// Progress, when non-nil, is called from the collector goroutine
 	// after every completed or replayed run with throughput,
@@ -188,6 +187,42 @@ func runSeed(campaign int64, caseIdx int) int64 {
 // against the same determinism contract as a campaign journal.
 func RunSeed(campaign int64, caseIdx int) int64 { return runSeed(campaign, caseIdx) }
 
+// CheckReplayed is the per-record resume check shared by campaigns and
+// the optimizer's lattice sweep: a record journaled at (errIdx,
+// caseIdx) must carry the seed re-derived from the campaign seed and
+// the ID of e, the live error set's error at errIdx. A journal of
+// another campaign seed, or of an error set that differs at that index
+// (an E2 sample of another size at the same seed), is rejected instead
+// of being mixed into the tables.
+func CheckReplayed(exp string, seed int64, errIdx, caseIdx int, e inject.Error, recSeed int64, recErrID string) error {
+	if want := runSeed(seed, caseIdx); recSeed != want {
+		return fmt.Errorf("experiment: journaled %s run %s case %d has seed %d, want %d — journal is from a different campaign",
+			exp, e.ID, caseIdx, recSeed, want)
+	}
+	if recErrID != e.ID {
+		return fmt.Errorf("experiment: journaled %s run at error index %d case %d is error %s, not %s — journal is from a different error set",
+			exp, errIdx, caseIdx, recErrID, e.ID)
+	}
+	return nil
+}
+
+// Header is the journal identity of the defaulted Spec's exp sweep of
+// total runs on runner: the header a campaign or lattice sweep
+// journals, and the one a resumed or uploaded journal's header must
+// Match.
+func (s Spec) Header(exp, runner string, total int) journal.Header {
+	return journal.Header{
+		Experiment:    exp,
+		Seed:          s.Seed,
+		Grid:          s.Grid,
+		Total:         total,
+		Runner:        runner,
+		ObservationMs: s.ObservationMs,
+		PeriodMs:      s.Policy.PeriodMs,
+		StartMs:       s.Policy.StartMs,
+	}
+}
+
 // gridCase pairs a test case with its GLOBAL grid index; the index, not
 // the position in a shard's case subset, keys journal records and
 // per-run seeds.
@@ -233,114 +268,60 @@ type job struct {
 	tc      physics.TestCase
 }
 
-// outcome pairs a job with its run result.
-type outcome struct {
-	job job
-	res inject.RunResult
-}
-
-// record converts one live outcome into its journal form.
-func record(exp string, o outcome, seed int64) journal.Record {
+// record is a run's journal form: a live run's job and result, and the
+// one form both live and replayed runs reach the aggregators in.
+func record(exp string, j job, res inject.RunResult, seed int64) journal.Record {
 	rec := journal.Record{
 		Experiment: exp,
-		Version:    int(o.job.version),
-		ErrIdx:     o.job.errIdx,
-		ErrID:      o.job.err.ID,
-		CaseIdx:    o.job.caseIdx,
+		Version:    int(j.version),
+		ErrIdx:     j.errIdx,
+		ErrID:      j.err.ID,
+		CaseIdx:    j.caseIdx,
 		Seed:       seed,
-		Detected:   o.res.Detected,
-		Failed:     o.res.Failed,
-		LatencyMs:  o.res.LatencyMs,
+		Detected:   res.Detected,
+		Failed:     res.Failed,
+		LatencyMs:  res.LatencyMs,
 	}
-	if len(o.res.ByTest) > 0 {
-		rec.ByTest = make(map[int]int, len(o.res.ByTest))
-		for id, n := range o.res.ByTest {
+	if len(res.ByTest) > 0 {
+		rec.ByTest = make(map[int]int, len(res.ByTest))
+		for id, n := range res.ByTest {
 			rec.ByTest[int(id)] = n
 		}
 	}
 	return rec
 }
 
-// replayed converts a journaled record back into the outcome the
-// aggregators would have collected live. Only the aggregated fields
-// (detected/failed/latency/ByTest) round-trip; plant readouts do not,
-// which is fine because no table consumes them.
-func replayed(j job, rec journal.Record) outcome {
-	res := inject.RunResult{
-		Detected:  rec.Detected,
-		Failed:    rec.Failed,
-		LatencyMs: rec.LatencyMs,
-	}
-	if len(rec.ByTest) > 0 {
-		res.ByTest = make(map[core.TestID]int, len(rec.ByTest))
-		for id, n := range rec.ByTest {
-			res.ByTest[core.TestID(id)] = n
-		}
-	}
-	return outcome{job: j, res: res}
-}
-
-// partition splits the campaign jobs into journaled outcomes (to be
+// partition splits the campaign jobs into journaled records (to be
 // replayed straight into the aggregators) and live jobs still to
 // dispatch. It enforces the resume soundness checks: the journal's
-// header must match the live configuration — seed, grid AND resolved
-// runner mode — and every replayed record's stored seed must equal the
-// seed re-derived from the run coordinates. The mode check closes the
+// header must Match the live configuration — seed, grid, resolved
+// runner mode, observation window and injection schedule — and every
+// replayed record must pass CheckReplayed. The mode check closes the
 // double-counting hole where e.g. a memo-mode journal would silently
 // extend a literal-mode campaign: the engines are equivalence-tested,
 // but a mixed-provenance table could no longer be attributed to either.
-// Journals written before the Runner API carry no mode and resume under
-// any engine.
-func partition(cfg Config, exp string, mode inject.Mode, jobs []job) (live []job, replay []outcome, err error) {
+func partition(cfg Config, exp string, mode inject.Mode, jobs []job) (live []job, replay []journal.Record, err error) {
 	if cfg.Resume == nil {
 		return jobs, nil, nil
 	}
 	if h, ok := cfg.Resume.Header(exp); ok {
-		if h.Seed != cfg.Seed || h.Grid != cfg.Grid {
-			return nil, nil, fmt.Errorf("experiment: journal was recorded for %s seed %d grid %d, not seed %d grid %d",
-				exp, h.Seed, h.Grid, cfg.Seed, cfg.Grid)
-		}
-		if h.Runner != "" && h.Runner != mode.String() {
-			return nil, nil, fmt.Errorf("experiment: journal was recorded by the %s engine, campaign resolves to %s — rerun with -engine=%s or a fresh journal",
-				h.Runner, mode, h.Runner)
+		if err := h.Match(cfg.Header(exp, mode.String(), 0)); err != nil {
+			return nil, nil, fmt.Errorf("experiment: %w", err)
 		}
 	}
 	byKey := cfg.Resume.Lookup(exp)
-	if len(byKey) == 0 {
-		return jobs, nil, nil
-	}
 	for _, j := range jobs {
 		rec, ok := byKey[journal.Key{Version: int(j.version), ErrIdx: j.errIdx, CaseIdx: j.caseIdx}]
 		if !ok {
 			live = append(live, j)
 			continue
 		}
-		if want := runSeed(cfg.Seed, j.caseIdx); rec.Seed != want {
-			return nil, nil, fmt.Errorf("experiment: journaled %s run %s case %d has seed %d, want %d — journal is from a different campaign",
-				exp, j.err.ID, j.caseIdx, rec.Seed, want)
+		if err := CheckReplayed(exp, cfg.Seed, j.errIdx, j.caseIdx, j.err, rec.Seed, rec.ErrID); err != nil {
+			return nil, nil, err
 		}
-		replay = append(replay, replayed(j, rec))
+		replay = append(replay, rec)
 	}
 	return live, replay, nil
-}
-
-// checkReplayOnly enforces Exec.ReplayOnly after partitioning: a
-// replay-only campaign (the merge step of a distributed campaign) must
-// find every run in its journal.
-func (c Config) checkReplayOnly(exp string, live []job, total int) error {
-	if !c.ReplayOnly || len(live) == 0 {
-		return nil
-	}
-	return fmt.Errorf("experiment: replay-only %s campaign is missing %d of %d journaled runs (first missing: version %d error %d case %d) — a shard journal is absent or incomplete",
-		exp, len(live), total, int(live[0].version), live[0].errIdx, live[0].caseIdx)
-}
-
-// resolveMode resolves the configured engine mode against the recovery
-// policy: auto picks prune for detection-only campaigns and literal
-// otherwise; explicit snapshot/prune/memo with active recovery is an
-// error.
-func (c Config) resolveMode() (inject.Mode, error) {
-	return c.Mode.Resolve(c.Recovery)
 }
 
 // engineBatchErrors is the number of errors a worker serves from one
@@ -427,43 +408,37 @@ func buildBatches(live []job, mode inject.Mode) []batch {
 	return batches
 }
 
-// runAll executes the live jobs across the pool and streams outcomes to
-// collect (called from a single goroutine, which also feeds the journal
-// writer and the progress hook). Batches shaped for the resolved engine
-// mode are partitioned into per-worker queues; workers claim them with
-// a lock-free cursor and steal from each other's queues when their own
-// drains (see scheduler.go). Per-case profiles are computed once per
-// campaign in an inject.ProfileCache and shared read-only by every
-// worker's runner; memo-mode workers additionally share each case's
-// outcome memo, merged at batch barriers. The first worker error
-// cancels the remaining workers via the run context, so a failing
-// campaign stops promptly and the journal records a clean interruption
-// point; the parent cfg.Context cancels the same way. The returned
-// metrics cover the live runs (resumed only sizes the progress totals)
-// and fold in the runners' prune/memo-hit accounting.
-func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, collect func(outcome)) (journal.Metrics, error) {
-	parent := cfg.Context
-	if parent == nil {
-		parent = context.Background()
+// run executes one campaign's jobs on the engine its mode resolves to
+// (auto: prune for detection-only campaigns, literal otherwise).
+// Journaled outcomes replay straight into collect (see partition); a
+// replay-only campaign (the merge step of a distributed campaign) must
+// find every run there. The live jobs, in batches shaped for the
+// engine, go through the sweep driver (scheduler.go), whose collector
+// aggregates and journals each outcome. Memo-mode workers share each
+// case's outcome memo, merged at batch barriers.
+func (c Config) run(exp string, jobs []job, collect func(journal.Record)) (journal.Metrics, error) {
+	mode, err := c.Mode.Resolve(c.Recovery)
+	if err != nil {
+		return journal.Metrics{}, err
 	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	total := resumed + len(jobs)
-	if cfg.Journal != nil {
-		if err := cfg.Journal.Header(journal.Header{
-			Experiment: exp,
-			Seed:       cfg.Seed,
-			Grid:       cfg.Grid,
-			Total:      total,
-			Runner:     mode.String(),
-		}); err != nil {
+	live, replay, err := partition(c, exp, mode, jobs)
+	if err != nil {
+		return journal.Metrics{}, err
+	}
+	if c.ReplayOnly && len(live) > 0 {
+		return journal.Metrics{}, fmt.Errorf("experiment: replay-only %s campaign is missing %d of %d journaled runs (first missing: version %d error %d case %d) — a shard journal is absent or incomplete",
+			exp, len(live), len(jobs), int(live[0].version), live[0].errIdx, live[0].caseIdx)
+	}
+	for _, rec := range replay {
+		collect(rec)
+	}
+	if c.Journal != nil {
+		if err := c.Journal.Header(c.Header(exp, mode.String(), len(jobs))); err != nil {
 			return journal.Metrics{}, err
 		}
 	}
 
-	batches := buildBatches(jobs, mode)
-	queues := PartitionQueues(batches, cfg.Workers)
+	batches := buildBatches(live, mode)
 	cache := inject.NewProfileCache()
 	var memos map[int]*inject.SharedMemo
 	if mode == inject.ModeMemo {
@@ -474,95 +449,145 @@ func runAll(cfg Config, exp string, mode inject.Mode, jobs []job, resumed int, c
 			}
 		}
 	}
-
-	out := make(chan outcome)
-	errCh := make(chan error, 1)
-	busy := make([]time.Duration, cfg.Workers)
-	runs := make([]int, cfg.Workers)
-	stolen := make([]int, cfg.Workers)
-	rstats := make([]inject.RunnerStats, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wr := newWorkerRunners(cfg, mode, cache, memos)
-			defer func() { rstats[w] = rstats[w].Add(wr.stats()) }()
-			emit := func(o outcome) bool {
-				select {
-				case out <- o:
-					runs[w]++
-					return true
-				case <-ctx.Done():
-					return false
-				}
+	return Sweep[batch, journal.Record]{
+		Experiment: exp,
+		Mode:       mode,
+		Workers:    c.Workers,
+		Context:    c.Context,
+		Progress:   c.Progress,
+		Resumed:    len(replay),
+		Total:      len(jobs),
+		NewWorker: func() Worker[batch, journal.Record] {
+			return &workerRunners{cfg: c, exp: exp, mode: mode, cache: cache, memos: memos, byCase: make(map[int]inject.Runner)}
+		},
+		Collect: func(rec journal.Record) error {
+			collect(rec)
+			if c.Journal == nil {
+				return nil
 			}
-			for ctx.Err() == nil {
-				b, ok, stole := NextItem(queues, w)
-				if !ok {
-					return
-				}
-				if stole {
-					stolen[w]++
-				}
-				began := time.Now()
-				err := wr.runBatch(b, emit)
-				busy[w] += time.Since(began)
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
+			return c.Journal.Run(rec)
+		},
+	}.Run(batches)
+}
 
-	start := time.Now()
-	completed := resumed
-	var journalErr error
-	for o := range out {
-		collect(o)
-		completed++
-		if cfg.Journal != nil && journalErr == nil {
-			seed := runSeed(cfg.Seed, o.job.caseIdx)
-			if err := cfg.Journal.Run(record(exp, o, seed)); err != nil {
-				journalErr = err
-				cancel()
-			}
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(Progress(exp, completed, resumed, total, start))
-		}
-	}
+// workerRunners is one worker's runner state: the per-case runners it
+// has built so far (reused across every batch of the same case), the
+// shared campaign caches they are built from, and the scratch slices
+// of the batch loop.
+type workerRunners struct {
+	cfg    Config
+	exp    string
+	mode   inject.Mode
+	cache  *inject.ProfileCache
+	memos  map[int]*inject.SharedMemo
+	byCase map[int]inject.Runner
 
-	wall := time.Since(start)
-	metrics := SweepMetrics(exp, mode, completed-resumed, resumed, wall, rstats)
-	for w := 0; w < cfg.Workers; w++ {
-		wm := journal.WorkerMetrics{Worker: w, Runs: runs[w], BusyMs: busy[w].Milliseconds(), Stolen: stolen[w]}
-		if wall > 0 {
-			wm.Utilization = float64(busy[w]) / float64(wall)
-		}
-		metrics.Workers = append(metrics.Workers, wm)
-	}
+	versions []target.Version
+	results  []inject.RunResult
+}
 
-	switch {
-	case journalErr != nil:
-		return metrics, journalErr
-	case len(errCh) > 0:
-		return metrics, fmt.Errorf("experiment: run failed: %w", <-errCh)
-	case parent.Err() != nil:
-		return metrics, fmt.Errorf("experiment: campaign interrupted: %w", parent.Err())
+// runner returns the worker's runner for b's test case, building it on
+// first use. Snapshot engines fast-forward by restoring the shared
+// profile snapshot instead of re-simulating the nominal prefix. Prune
+// runners start on that snapshot too and fetch the case's full nominal
+// profile and liveness map only after their first error, so no worker's
+// first result waits for the full-window profile. Memo runners take
+// the full profile up front and share the case's outcome memo.
+func (wr *workerRunners) runner(b batch) (inject.Runner, error) {
+	if r, ok := wr.byCase[b.caseIdx]; ok {
+		return r, nil
+	}
+	rc := inject.RunConfig{
+		TestCase:      b.tc,
+		Policy:        wr.cfg.Policy,
+		ObservationMs: wr.cfg.ObservationMs,
+		Seed:          runSeed(wr.cfg.Seed, b.caseIdx),
+		Recovery:      wr.cfg.Recovery,
+		Placement:     wr.cfg.Placement,
+	}
+	var r inject.Runner
+	var err error
+	switch wr.mode {
+	case inject.ModeSnapshot:
+		var p *inject.CaseProfile
+		if p, err = wr.cache.Get(b.caseIdx, rc, false); err == nil {
+			r, err = inject.NewEngineFromProfile(p)
+		}
+	case inject.ModePrune:
+		var p *inject.CaseProfile
+		if p, err = wr.cache.Get(b.caseIdx, rc, false); err == nil {
+			r, err = inject.NewPruneRunnerFromProfile(p, func() (*inject.CaseProfile, error) {
+				return wr.cache.Get(b.caseIdx, rc, true)
+			})
+		}
+	case inject.ModeMemo:
+		var p *inject.CaseProfile
+		if p, err = wr.cache.Get(b.caseIdx, rc, true); err == nil {
+			r, err = inject.NewMemoRunnerFromProfile(p, wr.memos[b.caseIdx])
+		}
 	default:
-		return metrics, nil
+		r, err = inject.NewRunner(wr.mode, rc)
 	}
+	if err != nil {
+		return nil, err
+	}
+	wr.byCase[b.caseIdx] = r
+	return r, nil
+}
+
+// Stats folds the per-case runners' serving statistics; the worker
+// calls it once on exit, so no per-draw synchronization is needed.
+func (wr *workerRunners) Stats() inject.RunnerStats {
+	var st inject.RunnerStats
+	for _, r := range wr.byCase {
+		if sr, ok := r.(inject.StatsReporter); ok {
+			st = st.Add(sr.Stats())
+		}
+	}
+	return st
+}
+
+// Serve serves one batch through the worker's per-case runner: one
+// RunError per error with every version the batch's jobs request. At
+// the batch barrier the runner's freshly memoized outcomes are merged
+// into the case's shared memo.
+func (wr *workerRunners) Serve(b batch, emit func(journal.Record) bool) error {
+	runner, err := wr.runner(b)
+	if err != nil {
+		return err
+	}
+	seed := runSeed(wr.cfg.Seed, b.caseIdx)
+	for i := 0; i < len(b.jobs); {
+		j := i
+		for j < len(b.jobs) && b.jobs[j].errIdx == b.jobs[i].errIdx {
+			j++
+		}
+		group := b.jobs[i:j]
+		wr.versions = wr.versions[:0]
+		for _, g := range group {
+			wr.versions = append(wr.versions, g.version)
+		}
+		if cap(wr.results) < len(group) {
+			wr.results = make([]inject.RunResult, len(group))
+		}
+		// The slots are reused across errors: each result is copied into
+		// its journal record before the next RunError, so the runner may
+		// recycle their ByTest maps.
+		results := wr.results[:len(group)]
+		if err := runner.RunError(group[0].err, wr.versions, results); err != nil {
+			return err
+		}
+		for gi, g := range group {
+			if !emit(record(wr.exp, g, results[gi], seed)) {
+				return nil
+			}
+		}
+		i = j
+	}
+	if f, ok := runner.(interface{ FlushShared() }); ok {
+		f.FlushShared()
+	}
+	return nil
 }
 
 // E1Result aggregates the E1 campaign into the cells of the paper's
@@ -622,10 +647,6 @@ func (r *E1Result) TotalLatency(versionIdx int) stats.Latency {
 // 2800 x 8 = 22 400 runs at full scale).
 func RunE1(cfg Config) (*E1Result, error) {
 	cfg = cfg.withDefaults()
-	mode, err := cfg.resolveMode()
-	if err != nil {
-		return nil, err
-	}
 	errors := inject.BuildE1()
 	cases, err := cfg.gridCases()
 	if err != nil {
@@ -648,29 +669,19 @@ func RunE1(cfg Config) (*E1Result, error) {
 			}
 		}
 	}
-	collect := func(o outcome) {
-		vi := res.versionIndex(o.job.version)
-		sig := o.job.err.SignalIdx
-		res.Coverage[sig][vi].Add(o.res.Detected, o.res.Failed)
-		if o.res.Detected {
-			res.Latency[sig][vi].Add(o.res.LatencyMs)
+	collect := func(rec journal.Record) {
+		vi := res.versionIndex(target.Version(rec.Version))
+		sig := errors[rec.ErrIdx].SignalIdx
+		res.Coverage[sig][vi].Add(rec.Detected, rec.Failed)
+		if rec.Detected {
+			res.Latency[sig][vi].Add(rec.LatencyMs)
 		}
-		for id, n := range o.res.ByTest {
-			res.ByTest[vi][id] += n
+		for id, n := range rec.ByTest {
+			res.ByTest[vi][core.TestID(id)] += n
 		}
 		res.Runs++
 	}
-	live, replay, err := partition(cfg, ExperimentE1, mode, jobs)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.checkReplayOnly(ExperimentE1, live, len(jobs)); err != nil {
-		return nil, err
-	}
-	for _, o := range replay {
-		collect(o)
-	}
-	res.Metrics, err = runAll(cfg, ExperimentE1, mode, live, len(replay), collect)
+	res.Metrics, err = cfg.run(ExperimentE1, jobs, collect)
 	if err != nil {
 		return nil, err
 	}
@@ -718,10 +729,6 @@ func (r *E2Result) Total() (stats.Coverage, stats.Latency, stats.Latency) {
 // ExperimentExhaustive.
 func RunE2(cfg Config) (*E2Result, error) {
 	cfg = cfg.withDefaults()
-	mode, err := cfg.resolveMode()
-	if err != nil {
-		return nil, err
-	}
 	exp := ExperimentE2
 	errors := inject.BuildE2(cfg.E2, cfg.Seed)
 	if cfg.Exhaustive {
@@ -748,28 +755,18 @@ func RunE2(cfg Config) (*E2Result, error) {
 			jobs = append(jobs, job{version: target.VersionAll, errIdx: ei, err: e, caseIdx: gc.idx, tc: gc.tc})
 		}
 	}
-	collect := func(o outcome) {
-		region := o.job.err.Region
-		res.Coverage[region].Add(o.res.Detected, o.res.Failed)
-		if o.res.Detected {
-			res.LatencyAll[region].Add(o.res.LatencyMs)
-			if o.res.Failed {
-				res.LatencyFail[region].Add(o.res.LatencyMs)
+	collect := func(rec journal.Record) {
+		region := errors[rec.ErrIdx].Region
+		res.Coverage[region].Add(rec.Detected, rec.Failed)
+		if rec.Detected {
+			res.LatencyAll[region].Add(rec.LatencyMs)
+			if rec.Failed {
+				res.LatencyFail[region].Add(rec.LatencyMs)
 			}
 		}
 		res.Runs++
 	}
-	live, replay, err := partition(cfg, exp, mode, jobs)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.checkReplayOnly(exp, live, len(jobs)); err != nil {
-		return nil, err
-	}
-	for _, o := range replay {
-		collect(o)
-	}
-	res.Metrics, err = runAll(cfg, exp, mode, live, len(replay), collect)
+	res.Metrics, err = cfg.run(exp, jobs, collect)
 	if err != nil {
 		return nil, err
 	}

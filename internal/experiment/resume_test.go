@@ -218,6 +218,61 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "seed") {
 		t.Errorf("unhelpful mismatch error: %v", err)
 	}
+
+	// Same seed and grid, another observation window or injection
+	// schedule: the journaled outcomes would be those of other runs.
+	for name, mutate := range map[string]func(*Config){
+		"observation window": func(c *Config) { c.ObservationMs = 3000 },
+		"injection period":   func(c *Config) { c.Policy = inject.Policy{StartMs: 500, PeriodMs: 40} },
+		"injection start":    func(c *Config) { c.Policy = inject.Policy{StartMs: 250, PeriodMs: 20} },
+	} {
+		other := cfg
+		other.Journal = nil
+		other.Resume = log
+		mutate(&other)
+		if _, err := RunE1(other); err == nil {
+			t.Errorf("journal accepted under another %s", name)
+		} else if !strings.Contains(err.Error(), "observation window") {
+			t.Errorf("%s mismatch error does not name the window: %v", name, err)
+		}
+	}
+}
+
+// TestResumeRejectsOtherE2Sample checks the per-record error identity
+// on the replay path: a journal of a differently sized E2 sample at the
+// same seed has the same header and run keys as the default campaign,
+// but its error indices name other errors, so resuming the default
+// campaign from it must be refused rather than mix the two samples.
+func TestResumeRejectsOtherE2Sample(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "e2.jsonl")
+	w, err := journal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Spec: Spec{Grid: 1, ObservationMs: 1500, Seed: 5, E2: inject.E2Spec{RAM: 10, Stack: 5}},
+		Exec: Exec{Workers: 2, Journal: w},
+	}
+	if _, err := RunE2(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := journal.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	def := cfg
+	def.E2 = inject.E2Spec{}
+	def.Journal = nil
+	def.Resume = log
+	if _, err := RunE2(def); err == nil {
+		t.Error("journal of a 10+5 E2 sample resumed into the default 150+50 campaign")
+	} else if !strings.Contains(err.Error(), "different error set") {
+		t.Errorf("error-set mismatch error does not say so: %v", err)
+	}
 }
 
 // TestResumeRejectsRunnerModeMismatch checks the runner assertion on
@@ -387,12 +442,8 @@ func TestRunAllCancelsOnWorkerError(t *testing.T) {
 		Exec: Exec{Workers: 4},
 	}.withDefaults()
 
-	mode, err := cfg.resolveMode()
-	if err != nil {
-		t.Fatal(err)
-	}
 	collected := 0
-	_, err = runAll(cfg, ExperimentE1, mode, jobs, 0, func(outcome) { collected++ })
+	_, err := cfg.run(ExperimentE1, jobs, func(journal.Record) { collected++ })
 	if err == nil {
 		t.Fatal("worker error not surfaced")
 	}

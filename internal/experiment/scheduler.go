@@ -1,63 +1,59 @@
 package experiment
 
 import (
+	"context"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"easig/internal/inject"
 	"easig/internal/journal"
-	"easig/internal/target"
 )
 
-// This file is the campaign's parallel work-stealing scheduler: how the
-// (test case × error-position) grid reaches the worker pool.
+// This file is the sweep driver: the one work-stealing pool and
+// collector that every sweep over the (test case × error) grid runs
+// on. Campaigns (RunE1, RunE2) dispatch version-run batches through it;
+// the optimizer's lattice sweep (internal/optimize) dispatches probe
+// chunks. Each passes only what differs — its item and result types, a
+// per-worker serve function holding its own per-case runners or
+// probes, and a collect function that aggregates and journals.
 //
-// Batches are partitioned upfront into per-worker queues in contiguous
+// Items are partitioned upfront into per-worker queues in contiguous
 // case-major blocks, so a worker mostly stays on few test cases and its
-// per-case runners (snapshot engines, memo runners) are reused across
-// batches. Each queue is an immutable batch slice with an atomic
-// cursor: claiming a batch is one compare-and-swap, with no locks and
-// no channel hops. A worker that drains its own queue steals from the
-// other queues with the same CAS — idle workers finish the stragglers
-// of loaded ones, so a skewed grid (memo batches vary from
-// microseconds for all-pruned chunks to seconds for all-live ones)
-// still saturates the pool.
+// per-case runners are reused across items. Each queue is an immutable
+// item slice with an atomic cursor: claiming an item is one
+// compare-and-swap (no locks, no ABA — the cursor only advances). A
+// worker that drains its own queue steals from the others with the
+// same CAS, so a skewed grid (memo batches vary from microseconds for
+// all-pruned chunks to seconds for all-live ones) still saturates the
+// pool. The expensive per-case state is shared, not stolen with the
+// item: an inject.ProfileCache computes each case's nominal-prefix
+// snapshot (and for prune and memo modes the full-window profile and
+// liveness map) once per sweep, read-only afterwards; memo-mode
+// campaign workers exchange outcomes through a per-case
+// inject.SharedMemo, merged at batch barriers under a short mutex.
+// Results reach one collector goroutine, the only caller of Collect,
+// so aggregation and journal appends need no locks.
 //
-// The expensive per-case state is shared, not stolen with the batch: an
-// inject.ProfileCache computes each case's nominal-prefix snapshot (and
-// for prune and memo modes the full-window nominal profile + liveness
-// map) exactly once per campaign, and every worker's runner is built
-// from that read-only profile. Memoized outcomes cross workers through a
-// per-case inject.SharedMemo, merged at batch barriers.
-//
-// Concurrency contract, structure by structure: WorkQueue claims are a
-// single CAS on an atomic cursor over an immutable batch slice (no
-// locks, no ABA — the cursor only advances); CaseProfiles are immutable
-// after construction and shared read-only; SharedMemo reads are one
-// atomic load of an immutable map, writes merge at batch barriers under
-// a short mutex; journal appends flow through the writer's single
-// drainer goroutine, which coalesces queued lines into 64 KiB
-// line-aligned batches. None of this may change a cell of the paper's
-// Tables 7-9: per-run seeds depend only on the test case (not the
-// worker), the §3.4 protocol's aggregates are order-independent
-// integer totals, and journal comparisons key on run coordinates.
-// TestWorkQueueConcurrentClaims gates exactly-once batch claims under
-// contention, and TestSchedulerWorkerCountEquivalence pins 1-worker vs
-// 8-worker campaigns to byte-identical tables and record sets.
+// None of this may change a cell of the paper's Tables 7-9 or a scored
+// probe: per-run seeds depend only on the test case (not the worker),
+// the §3.4 aggregates are order-independent integer totals, and journal
+// comparisons key on run coordinates. TestWorkQueueConcurrentClaims
+// gates exactly-once claims under contention, and
+// TestSchedulerWorkerCountEquivalence pins 1-worker vs 8-worker
+// campaigns to byte-identical tables and records.
 
-// WorkQueue is one worker's share of a work-item list. Take claims the
+// workQueue is one worker's share of a work-item list. take claims the
 // next item lock-free; the same method is the steal path when another
-// worker calls it. The item type is generic because two sweeps share
-// this scheduler: the campaign layer queues version-run batches, and
-// the optimizer's lattice sweep (internal/optimize) queues probe
-// chunks over the same (case × error) grid.
-type WorkQueue[T any] struct {
+// worker calls it.
+type workQueue[T any] struct {
 	items []T
 	next  atomic.Int64
 }
 
-// Take claims the queue's next item, or reports an empty queue.
-func (q *WorkQueue[T]) Take() (T, bool) {
+// take claims the queue's next item, or reports an empty queue.
+func (q *workQueue[T]) take() (T, bool) {
 	for {
 		i := q.next.Load()
 		if i >= int64(len(q.items)) {
@@ -70,12 +66,12 @@ func (q *WorkQueue[T]) Take() (T, bool) {
 	}
 }
 
-// PartitionQueues splits the item list into near-equal contiguous
+// partitionQueues splits the item list into near-equal contiguous
 // blocks, one per worker. Contiguity preserves the case-major item
 // order inside each queue, which is what makes per-case runner reuse
 // effective.
-func PartitionQueues[T any](items []T, workers int) []*WorkQueue[T] {
-	queues := make([]*WorkQueue[T], workers)
+func partitionQueues[T any](items []T, workers int) []*workQueue[T] {
+	queues := make([]*workQueue[T], workers)
 	per := len(items) / workers
 	rem := len(items) % workers
 	lo := 0
@@ -84,21 +80,21 @@ func PartitionQueues[T any](items []T, workers int) []*WorkQueue[T] {
 		if w < rem {
 			n++
 		}
-		queues[w] = &WorkQueue[T]{items: items[lo : lo+n]}
+		queues[w] = &workQueue[T]{items: items[lo : lo+n]}
 		lo += n
 	}
 	return queues
 }
 
-// NextItem serves worker w: its own queue first, then a steal sweep
+// nextItem serves worker w: its own queue first, then a steal sweep
 // over the other queues. stole reports whether the item came from
 // another worker's queue.
-func NextItem[T any](queues []*WorkQueue[T], w int) (item T, ok, stole bool) {
-	if item, ok = queues[w].Take(); ok {
+func nextItem[T any](queues []*workQueue[T], w int) (item T, ok, stole bool) {
+	if item, ok = queues[w].take(); ok {
 		return item, true, false
 	}
 	for off := 1; off < len(queues); off++ {
-		if item, ok = queues[(w+off)%len(queues)].Take(); ok {
+		if item, ok = queues[(w+off)%len(queues)].take(); ok {
 			return item, true, true
 		}
 	}
@@ -106,142 +102,166 @@ func NextItem[T any](queues []*WorkQueue[T], w int) (item T, ok, stole bool) {
 	return zero, false, false
 }
 
-// workerRunners is one worker's runner state: the per-case runners it
-// has built so far (reused across every batch of the same case), the
-// shared campaign caches they are built from, and the scratch slices
-// of the batch loop.
-type workerRunners struct {
-	cfg    Config
-	mode   inject.Mode
-	cache  *inject.ProfileCache
-	memos  map[int]*inject.SharedMemo
-	byCase map[int]inject.Runner
-
-	versions []target.Version
-	results  []inject.RunResult
+// Worker is one pool worker's state. Serve runs one work item and
+// hands each result to emit; emit returns false once the sweep is
+// canceled, and Serve should then return. Stats reports the worker's
+// runner statistics; the driver calls it once, when the worker exits.
+type Worker[T, R any] interface {
+	Serve(item T, emit func(R) bool) error
+	Stats() inject.RunnerStats
 }
 
-func newWorkerRunners(cfg Config, mode inject.Mode, cache *inject.ProfileCache, memos map[int]*inject.SharedMemo) *workerRunners {
-	return &workerRunners{
-		cfg:    cfg,
-		mode:   mode,
-		cache:  cache,
-		memos:  memos,
-		byCase: make(map[int]inject.Runner),
-	}
+// Sweep is one dispatch through the driver: items of type T served
+// into results of type R.
+type Sweep[T, R any] struct {
+	// Experiment names the sweep in progress events, metrics and errors.
+	Experiment string
+	// Mode is the resolved engine the workers run on (metrics only).
+	Mode inject.Mode
+	// Workers is the pool size (at least 1).
+	Workers int
+	// Context, when non-nil, cancels the sweep.
+	Context context.Context
+	// Progress, when non-nil, is called from the collector after every
+	// collected result.
+	Progress func(journal.ProgressEvent)
+	// Resumed counts the results replayed from a journal before the
+	// dispatch; Total counts every result, replayed plus dispatched.
+	Resumed, Total int
+	// NewWorker builds one worker's state, once per worker goroutine.
+	NewWorker func() Worker[T, R]
+	// Collect consumes one result on the single collector goroutine. An
+	// error (a failed journal write) cancels the pool and is returned;
+	// no later result is collected.
+	Collect func(R) error
 }
 
-// runner returns the worker's runner for b's test case, building it on
-// first use. Snapshot engines fast-forward by restoring the shared
-// profile snapshot instead of re-simulating the nominal prefix. Prune
-// runners start on that snapshot too and fetch the case's full nominal
-// profile and liveness map only after their first error, so no worker's
-// first result waits for the full-window profile. Memo runners take
-// the full profile up front and share the case's outcome memo.
-func (wr *workerRunners) runner(b batch) (inject.Runner, error) {
-	if r, ok := wr.byCase[b.caseIdx]; ok {
-		return r, nil
+// Run dispatches items across the pool and feeds their results to
+// Collect. The first worker error cancels the remaining workers, so a
+// failing sweep stops promptly and its journal keeps a clean
+// interruption point; the parent Context cancels the same way. The
+// returned metrics cover the dispatched results, with per-worker
+// busy/runs/stolen figures and the workers' runner stats folded in.
+func (s Sweep[T, R]) Run(items []T) (journal.Metrics, error) {
+	parent := s.Context
+	if parent == nil {
+		parent = context.Background()
 	}
-	rc := inject.RunConfig{
-		TestCase:      b.tc,
-		Policy:        wr.cfg.Policy,
-		ObservationMs: wr.cfg.ObservationMs,
-		Seed:          runSeed(wr.cfg.Seed, b.caseIdx),
-		Recovery:      wr.cfg.Recovery,
-		Placement:     wr.cfg.Placement,
-	}
-	var r inject.Runner
-	var err error
-	switch wr.mode {
-	case inject.ModeSnapshot:
-		var p *inject.CaseProfile
-		if p, err = wr.cache.Get(b.caseIdx, rc, false); err == nil {
-			r, err = inject.NewEngineFromProfile(p)
-		}
-	case inject.ModePrune:
-		var p *inject.CaseProfile
-		if p, err = wr.cache.Get(b.caseIdx, rc, false); err == nil {
-			r, err = inject.NewPruneRunnerFromProfile(p, func() (*inject.CaseProfile, error) {
-				return wr.cache.Get(b.caseIdx, rc, true)
-			})
-		}
-	case inject.ModeMemo:
-		var p *inject.CaseProfile
-		if p, err = wr.cache.Get(b.caseIdx, rc, true); err == nil {
-			r, err = inject.NewMemoRunnerFromProfile(p, wr.memos[b.caseIdx])
-		}
-	default:
-		r, err = inject.NewRunner(wr.mode, rc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	wr.byCase[b.caseIdx] = r
-	return r, nil
-}
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
 
-// stats folds the per-case runners' serving statistics; the worker
-// calls it once on exit, so no per-draw synchronization is needed.
-func (wr *workerRunners) stats() inject.RunnerStats {
-	var st inject.RunnerStats
-	for _, r := range wr.byCase {
-		if sr, ok := r.(inject.StatsReporter); ok {
-			st = st.Add(sr.Stats())
-		}
+	queues := partitionQueues(items, s.Workers)
+	out := make(chan R)
+	errCh := make(chan error, 1)
+	// tally is one worker's share, written only by that worker and read
+	// after every worker has exited.
+	type tally struct {
+		busy        time.Duration
+		runs, stole int
+		stats       inject.RunnerStats
 	}
-	return st
-}
-
-// runBatch serves one batch through the worker's per-case runner: one
-// RunError per error with every version the batch's jobs request. At
-// the batch barrier the runner's freshly memoized outcomes are merged
-// into the case's shared memo.
-func (wr *workerRunners) runBatch(b batch, emit func(outcome) bool) error {
-	runner, err := wr.runner(b)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < len(b.jobs); {
-		j := i
-		for j < len(b.jobs) && b.jobs[j].errIdx == b.jobs[i].errIdx {
-			j++
-		}
-		group := b.jobs[i:j]
-		wr.versions = wr.versions[:0]
-		for _, g := range group {
-			wr.versions = append(wr.versions, g.version)
-		}
-		if cap(wr.results) < len(group) {
-			wr.results = make([]inject.RunResult, len(group))
-		}
-		results := wr.results[:len(group)]
-		// Zeroed slots, not reused ones: emitted results are retained
-		// by the collector, so the runner must not recycle their maps.
-		for k := range results {
-			results[k] = inject.RunResult{}
-		}
-		if err := runner.RunError(group[0].err, wr.versions, results); err != nil {
-			return err
-		}
-		for gi, g := range group {
-			if !emit(outcome{job: g, res: results[gi]}) {
-				return nil
+	tallies := make([]tally, s.Workers)
+	var wg sync.WaitGroup
+	for w := range tallies {
+		t := &tallies[w]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wk := s.NewWorker()
+			defer func() { t.stats = wk.Stats() }()
+			emit := func(r R) bool {
+				select {
+				case out <- r:
+					t.runs++
+					return true
+				case <-ctx.Done():
+					return false
+				}
 			}
+			for ctx.Err() == nil {
+				item, ok, stole := nextItem(queues, w)
+				if !ok {
+					return
+				}
+				if stole {
+					t.stole++
+				}
+				began := time.Now()
+				err := wk.Serve(item, emit)
+				t.busy += time.Since(began)
+				if err != nil {
+					select {
+					case errCh <- err:
+					default:
+					}
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
+
+	start := time.Now()
+	completed := s.Resumed
+	var collectErr error
+	for r := range out {
+		completed++
+		if collectErr != nil {
+			continue
 		}
-		i = j
+		if collectErr = s.Collect(r); collectErr != nil {
+			cancel()
+			continue
+		}
+		if s.Progress != nil {
+			s.Progress(progress(s.Experiment, completed, s.Resumed, s.Total, start))
+		}
 	}
-	if f, ok := runner.(interface{ FlushShared() }); ok {
-		f.FlushShared()
+
+	wall := time.Since(start)
+	m := journal.Metrics{
+		Experiment: s.Experiment,
+		Runs:       completed - s.Resumed,
+		Resumed:    s.Resumed,
+		WallMs:     wall.Milliseconds(),
+		Runner:     s.Mode.String(),
 	}
-	return nil
+	var st inject.RunnerStats
+	for w, t := range tallies {
+		st = st.Add(t.stats)
+		wm := journal.WorkerMetrics{Worker: w, Runs: t.runs, BusyMs: t.busy.Milliseconds(), Stolen: t.stole}
+		if wall > 0 {
+			wm.Utilization = float64(t.busy) / float64(wall)
+		}
+		m.Workers = append(m.Workers, wm)
+	}
+	if wall > 0 {
+		m.RunsPerSec = float64(m.Runs) / wall.Seconds()
+	}
+	m.Errors, m.Simulated, m.Pruned, m.MemoHits = st.Errors, st.Simulated, st.Pruned, st.MemoHits
+	m.PruneRate, m.MemoHitRate = st.PruneRate(), st.MemoHitRate()
+
+	switch {
+	case collectErr != nil:
+		return m, collectErr
+	case len(errCh) > 0:
+		return m, fmt.Errorf("experiment: %s run failed: %w", s.Experiment, <-errCh)
+	case parent.Err() != nil:
+		return m, fmt.Errorf("experiment: %s interrupted: %w", s.Experiment, parent.Err())
+	default:
+		return m, nil
+	}
 }
 
-// Progress is the progress event of a sweep started at start that has
+// progress is the progress event of a sweep started at start that has
 // completed runs of total, resumed of them replayed from a journal. The
 // rate and ETA count live runs only, so a resumed sweep does not report
-// its replayed runs as throughput. Campaigns and the optimizer's
-// lattice sweep both report through it.
-func Progress(exp string, completed, resumed, total int, start time.Time) journal.ProgressEvent {
+// its replayed runs as throughput.
+func progress(exp string, completed, resumed, total int, start time.Time) journal.ProgressEvent {
 	ev := journal.ProgressEvent{
 		Experiment: exp,
 		Completed:  completed,
@@ -254,31 +274,4 @@ func Progress(exp string, completed, resumed, total int, start time.Time) journa
 		ev.ETA = time.Duration(float64(total-completed) / ev.RunsPerSec * float64(time.Second))
 	}
 	return ev
-}
-
-// SweepMetrics is the journal.Metrics of a sweep that ran runs live
-// (plus resumed replayed ones) in wall time on mode's runners, with the
-// per-worker runner stats folded into its error accounting.
-func SweepMetrics(exp string, mode inject.Mode, runs, resumed int, wall time.Duration, rstats []inject.RunnerStats) journal.Metrics {
-	m := journal.Metrics{
-		Experiment: exp,
-		Runs:       runs,
-		Resumed:    resumed,
-		WallMs:     wall.Milliseconds(),
-		Runner:     mode.String(),
-	}
-	if wall > 0 {
-		m.RunsPerSec = float64(runs) / wall.Seconds()
-	}
-	var st inject.RunnerStats
-	for _, s := range rstats {
-		st = st.Add(s)
-	}
-	m.Errors = st.Errors
-	m.Simulated = st.Simulated
-	m.Pruned = st.Pruned
-	m.MemoHits = st.MemoHits
-	m.PruneRate = st.PruneRate()
-	m.MemoHitRate = st.MemoHitRate()
-	return m
 }

@@ -17,7 +17,7 @@ func TestPartitionQueuesContiguous(t *testing.T) {
 	for i := range batches {
 		batches[i].caseIdx = i
 	}
-	queues := PartitionQueues(batches, 4)
+	queues := partitionQueues(batches, 4)
 	if len(queues) != 4 {
 		t.Fatalf("got %d queues, want 4", len(queues))
 	}
@@ -54,17 +54,17 @@ func TestNextBatchSteals(t *testing.T) {
 	}
 	// Worker 1's queue is empty: 3 batches over 2 workers gives worker 0
 	// two, worker 1 one — drain worker 1's own first.
-	queues := PartitionQueues(batches, 2)
-	if b, ok, stole := NextItem(queues, 1); !ok || stole {
+	queues := partitionQueues(batches, 2)
+	if b, ok, stole := nextItem(queues, 1); !ok || stole {
 		t.Fatalf("own-queue claim: ok=%v stole=%v batch=%d", ok, stole, b.caseIdx)
 	}
 	for i := 0; i < 2; i++ {
-		b, ok, stole := NextItem(queues, 1)
+		b, ok, stole := nextItem(queues, 1)
 		if !ok || !stole {
 			t.Fatalf("steal %d: ok=%v stole=%v batch=%d", i, ok, stole, b.caseIdx)
 		}
 	}
-	if _, ok, _ := NextItem(queues, 1); ok {
+	if _, ok, _ := nextItem(queues, 1); ok {
 		t.Fatal("claimed a batch from fully drained queues")
 	}
 }
@@ -78,7 +78,7 @@ func TestWorkQueueConcurrentClaims(t *testing.T) {
 	for i := range batches {
 		batches[i].caseIdx = i
 	}
-	queues := PartitionQueues(batches, nWorkers)
+	queues := partitionQueues(batches, nWorkers)
 	var mu sync.Mutex
 	claims := make(map[int]int, nBatches)
 	var wg sync.WaitGroup
@@ -88,7 +88,7 @@ func TestWorkQueueConcurrentClaims(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				b, ok, _ := NextItem(queues, w)
+				b, ok, _ := nextItem(queues, w)
 				if !ok {
 					return
 				}

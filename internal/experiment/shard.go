@@ -148,7 +148,8 @@ func ExpectedShardKeys(spec Spec, exp string, cases []int) (map[journal.Key]int6
 }
 
 // ValidateShardJournal checks an uploaded shard journal against the
-// campaign: header identity (experiment, seed, grid, runner mode),
+// campaign: header identity (journal.Header.Match against
+// Spec.Header on runner; an empty runner matches any engine),
 // completeness (every expected run present — a truncated journal is
 // rejected here, keeping the shard claimable), per-record seeds, and
 // the absence of foreign runs.
@@ -158,13 +159,8 @@ func ValidateShardJournal(spec Spec, exp string, shard Shard, runner string, log
 	if !ok {
 		return fmt.Errorf("experiment: shard %d journal has no %s header", shard.Index, exp)
 	}
-	if h.Seed != cfg.Seed || h.Grid != cfg.Grid {
-		return fmt.Errorf("experiment: shard %d journal is from seed %d grid %d, campaign is seed %d grid %d",
-			shard.Index, h.Seed, h.Grid, cfg.Seed, cfg.Grid)
-	}
-	if runner != "" && h.Runner != "" && h.Runner != runner {
-		return fmt.Errorf("experiment: shard %d journal was recorded by the %s engine, campaign requires %s",
-			shard.Index, h.Runner, runner)
+	if err := h.Match(cfg.Header(exp, runner, 0)); err != nil {
+		return fmt.Errorf("experiment: shard %d: %w", shard.Index, err)
 	}
 	want, err := ExpectedShardKeys(spec, exp, shard.Cases)
 	if err != nil {

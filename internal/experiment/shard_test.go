@@ -111,11 +111,9 @@ func fakeShardJournal(spec Spec, exp string, cases []int, runner string) *journa
 	if err != nil {
 		panic(err)
 	}
-	cfg := Config{Spec: spec}.withDefaults()
-	log := &journal.Log{Headers: []journal.Header{{
-		Kind: journal.KindHeader, Experiment: exp,
-		Seed: cfg.Seed, Grid: cfg.Grid, Total: len(keys), Runner: runner,
-	}}}
+	h := Config{Spec: spec}.withDefaults().Header(exp, runner, len(keys))
+	h.Kind = journal.KindHeader
+	log := &journal.Log{Headers: []journal.Header{h}}
 	for k, seed := range keys {
 		log.Runs = append(log.Runs, journal.Record{
 			Kind: journal.KindRun, Experiment: exp,
@@ -164,6 +162,15 @@ func TestValidateShardJournal(t *testing.T) {
 	if err := ValidateShardJournal(spec, ExperimentE1, sh, "memo", good); err == nil ||
 		!strings.Contains(err.Error(), "engine") {
 		t.Fatalf("engine-mismatch error = %v, want engine mismatch", err)
+	}
+
+	// Wrong observation window.
+	other = spec
+	other.ObservationMs = spec.ObservationMs + 500
+	bad = fakeShardJournal(other, ExperimentE1, sh.Cases, "snapshot")
+	if err := ValidateShardJournal(spec, ExperimentE1, sh, "snapshot", bad); err == nil ||
+		!strings.Contains(err.Error(), "observation window") {
+		t.Fatalf("window-mismatch error = %v, want observation window mismatch", err)
 	}
 }
 

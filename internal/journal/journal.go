@@ -3,8 +3,10 @@
 // observable and resumable.
 //
 // A journal is an append-only JSONL file. The first line of each
-// campaign is a header naming the experiment, the campaign seed and the
-// grid; every completed run then appends one Record carrying the run
+// campaign is a header naming the experiment, the campaign seed, the
+// grid, the engine, the observation window and the injection schedule
+// (Header.Match decides whether a journal may extend a campaign); every
+// completed run then appends one Record carrying the run
 // coordinates (version, error index, test-case index), the derived
 // per-run seed and the readouts the campaign aggregators consume
 // (detected / failed / latency / per-assertion breakdown). Records are
@@ -81,11 +83,44 @@ type Header struct {
 	// Total is the campaign's total run count at this configuration.
 	Total int `json:"total_runs"`
 	// Runner names the execution engine that produced the records
-	// ("literal", "snapshot" or "memo"). Empty in journals written
-	// before the unified Runner API; on resume a non-empty value must
-	// match the live campaign's resolved engine mode, so e.g. a
+	// ("literal", "snapshot", "prune" or "memo"). Empty in journals
+	// written before the unified Runner API; on resume a non-empty value
+	// must match the live campaign's resolved engine mode, so e.g. a
 	// memo-mode journal cannot silently extend a literal-mode table.
 	Runner string `json:"runner,omitempty"`
+	// ObservationMs is the per-run observation window, and PeriodMs and
+	// StartMs the injection schedule, the records were produced under.
+	// Zero ObservationMs marks a journal written before these fields
+	// existed; Match then leaves the window and schedule uncompared.
+	ObservationMs int64 `json:"observation_ms,omitempty"`
+	PeriodMs      int64 `json:"period_ms,omitempty"`
+	StartMs       int64 `json:"start_ms,omitempty"`
+}
+
+// Match is the one journal-identity decision: it reports whether
+// records journaled under h may extend the sweep identified by want, a
+// header of the same experiment — be replayed into it on resume,
+// validated as one of its shards, or merged with another of its
+// journals. Seed and grid must be equal. The engine, the observation
+// window and the injection schedule must be equal when both headers
+// record them: an empty Runner or a zero ObservationMs is a journal
+// written before the field existed, and is accepted. The rule is
+// symmetric, so a merge may call it either way round.
+func (h Header) Match(want Header) error {
+	switch {
+	case h.Seed != want.Seed || h.Grid != want.Grid:
+		return fmt.Errorf("%s journal was recorded for seed %d grid %d, not seed %d grid %d",
+			h.Experiment, h.Seed, h.Grid, want.Seed, want.Grid)
+	case h.Runner != "" && want.Runner != "" && h.Runner != want.Runner:
+		return fmt.Errorf("%s journal was recorded by the %s engine, not %s — rerun with -engine=%s or a fresh journal",
+			h.Experiment, h.Runner, want.Runner, h.Runner)
+	case h.ObservationMs != 0 && want.ObservationMs != 0 &&
+		(h.ObservationMs != want.ObservationMs || h.PeriodMs != want.PeriodMs || h.StartMs != want.StartMs):
+		return fmt.Errorf("%s journal was recorded with a %d ms observation window and injections every %d ms from %d ms, not %d ms every %d ms from %d ms — rerun with -observe %d -period %d -start %d or a fresh journal",
+			h.Experiment, h.ObservationMs, h.PeriodMs, h.StartMs, want.ObservationMs, want.PeriodMs, want.StartMs,
+			h.ObservationMs, h.PeriodMs, h.StartMs)
+	}
+	return nil
 }
 
 // Record is one completed run: its coordinates in the campaign grid,
@@ -389,11 +424,13 @@ func (l *Log) Lookup(experiment string) map[Key]Record {
 // uploaded shard journals before replaying them into the Table 7-9
 // aggregators.
 //
-// Every experiment's headers must agree on seed, grid and runner mode
-// (they were recorded by workers executing the same Spec); the merged
-// header sums the shard totals. Duplicate run records — a shard
-// re-executed after a lease expired under a worker that had in fact
-// completed it — are tolerated: the determinism contract
+// Every experiment's headers must Match (they were recorded by workers
+// executing the same Spec); the merged header sums the shard totals and
+// takes each field an older header left unset from the first header
+// that records it, so the merge accepts or refuses the same shards in
+// any order. Duplicate run records — a shard re-executed after a lease
+// expired under a worker that had in fact completed it — are
+// tolerated: the determinism contract
 // (seed = f(campaign seed, case)) makes every re-execution of a run
 // byte-identical, so the merge keeps the last occurrence, matching
 // Lookup's resume semantics. Merge order therefore cannot change a
@@ -414,13 +451,14 @@ func Merge(logs ...*Log) (*Log, error) {
 				expOrder = append(expOrder, h.Experiment)
 				continue
 			}
-			if have.Seed != h.Seed || have.Grid != h.Grid {
-				return nil, fmt.Errorf("journal: merge: %s shard headers disagree: seed %d grid %d vs seed %d grid %d — shards are from different campaigns",
-					h.Experiment, have.Seed, have.Grid, h.Seed, h.Grid)
+			if err := h.Match(*have); err != nil {
+				return nil, fmt.Errorf("journal: merge: shards are from different campaigns: %w", err)
 			}
-			if have.Runner != h.Runner {
-				return nil, fmt.Errorf("journal: merge: %s shards were recorded by different engines (%q vs %q) — tables must have a single provenance",
-					h.Experiment, have.Runner, h.Runner)
+			if have.Runner == "" {
+				have.Runner = h.Runner
+			}
+			if have.ObservationMs == 0 {
+				have.ObservationMs, have.PeriodMs, have.StartMs = h.ObservationMs, h.PeriodMs, h.StartMs
 			}
 			have.Total += h.Total
 		}

@@ -311,4 +311,24 @@ func TestMergeShardJournals(t *testing.T) {
 	if _, err := Merge(a, mixed); err == nil {
 		t.Error("merge accepted shards from different engines")
 	}
+
+	// Shards recorded under different observation windows must not
+	// merge; a shard from before the window was journaled merges with
+	// either, in either order.
+	windowed := func(obs int64) *Log {
+		l := shard(1)
+		l.Headers[0].ObservationMs, l.Headers[0].PeriodMs, l.Headers[0].StartMs = obs, 20, 500
+		return l
+	}
+	if _, err := Merge(windowed(1500), windowed(3000)); err == nil {
+		t.Error("merge accepted shards from different observation windows")
+	}
+	for _, order := range [][]*Log{{a, windowed(1500), windowed(3000)}, {windowed(1500), a, windowed(3000)}} {
+		if _, err := Merge(order...); err == nil {
+			t.Error("merge accepted conflicting windows behind an unwindowed shard")
+		}
+	}
+	if m, err := Merge(a, windowed(1500)); err != nil || m.Headers[0].ObservationMs != 1500 {
+		t.Errorf("unwindowed + windowed shard merge = %+v, %v; want the 1500 ms window", m, err)
+	}
 }

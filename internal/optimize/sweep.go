@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"easig/internal/experiment"
@@ -109,8 +108,9 @@ type Options struct {
 	Journal *journal.Writer
 	// Resume, when non-nil, replays journaled probes and the journaled
 	// cost calibration, and dispatches only the missing probes. A
-	// journal recorded under a different seed, grid or probe mode is
-	// rejected.
+	// journal recorded under a different seed, grid, probe mode,
+	// observation window or injection schedule, or holding another
+	// error set, is rejected.
 	Resume *journal.Log
 	// Progress, when non-nil, is called after every profiled or
 	// replayed probe.
@@ -125,14 +125,6 @@ type Options struct {
 	// injected model — the hook deterministic tests use. It is
 	// journaled like a measured model, so resume replays it.
 	Cost *CostModel
-}
-
-// probeResult pairs a probe's coordinates with its profile.
-type probeResult struct {
-	errIdx  int
-	errID   string
-	caseIdx int
-	prof    inject.EAProfile
 }
 
 // chunk is the sweep's work unit: up to probeChunkErrors errors of one
@@ -202,20 +194,17 @@ func Run(spec Spec, opt Options) (*Report, error) {
 
 	// Partition against the journal: replayed probe outcomes come
 	// straight from the log, live chunks are dispatched. The resume
-	// soundness checks mirror the campaign's — header seed/grid/mode,
-	// then every replayed record's seed against the re-derived one.
+	// soundness checks are the campaign's — the header must Match the
+	// sweep's, then every replayed record passes experiment.CheckReplayed.
+	hdr := experiment.Spec{Grid: spec.Grid, ObservationMs: spec.ObservationMs, Policy: spec.Policy, Seed: spec.Seed}.
+		Header(exp, mode.String(), total)
 	outcomes := make([]probeOutcome, 0, total)
 	var replayed map[journal.ProbeKey]journal.Probe
 	cost, haveCost := CostModel{}, false
 	if opt.Resume != nil {
 		if h, ok := opt.Resume.Header(exp); ok {
-			if h.Seed != spec.Seed || h.Grid != spec.Grid {
-				return nil, fmt.Errorf("optimize: journal was recorded for %s seed %d grid %d, not seed %d grid %d",
-					exp, h.Seed, h.Grid, spec.Seed, spec.Grid)
-			}
-			if h.Runner != "" && h.Runner != mode.String() {
-				return nil, fmt.Errorf("optimize: journal was recorded by the %s probe engine, sweep resolves to %s — rerun with -engine=%s or a fresh journal",
-					h.Runner, mode, h.Runner)
+			if err := h.Match(hdr); err != nil {
+				return nil, fmt.Errorf("optimize: %w", err)
 			}
 		}
 		replayed = opt.Resume.LookupProbes(exp)
@@ -227,7 +216,6 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 	}
 	var chunks []chunk
-	resumed := 0
 	for ci := range cases {
 		pending := -1
 		flush := func(upTo int) {
@@ -238,16 +226,14 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 		for ei := range errs {
 			if rec, ok := replayed[journal.ProbeKey{ErrIdx: ei, CaseIdx: ci}]; ok {
-				if want := experiment.RunSeed(spec.Seed, ci); rec.Seed != want {
-					return nil, fmt.Errorf("optimize: journaled %s probe %s case %d has seed %d, want %d — journal is from a different sweep",
-						exp, rec.ErrID, ci, rec.Seed, want)
+				if err := experiment.CheckReplayed(exp, spec.Seed, ei, ci, errs[ei], rec.Seed, rec.ErrID); err != nil {
+					return nil, err
 				}
 				if len(rec.Master) != target.NumEAs || len(rec.Slave) != target.NumEAs {
 					return nil, fmt.Errorf("optimize: journaled %s probe %s case %d has %d/%d first-violation slots, want %d",
 						exp, rec.ErrID, ci, len(rec.Master), len(rec.Slave), target.NumEAs)
 				}
 				outcomes = append(outcomes, outcomeFromProbe(rec))
-				resumed++
 				continue
 			}
 			if pending < 0 {
@@ -259,6 +245,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 		flush(len(errs))
 	}
+	resumed := len(outcomes)
 
 	// Cost model: replayed from the journal when resuming (byte-identity
 	// requires scoring against the ORIGINAL measurement — calibration is
@@ -277,9 +264,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 	}
 	if opt.Journal != nil {
-		if err := opt.Journal.Header(journal.Header{
-			Experiment: exp, Seed: spec.Seed, Grid: spec.Grid, Total: total, Runner: mode.String(),
-		}); err != nil {
+		if err := opt.Journal.Header(hdr); err != nil {
 			return nil, err
 		}
 		if err := opt.Journal.Cost(costRecord(exp, cost)); err != nil {
@@ -287,11 +272,29 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		}
 	}
 
-	live, metrics, err := runProbes(spec, opt, exp, mode, errs, chunks, resumed, total)
+	cache := inject.NewProfileCache()
+	metrics, err := experiment.Sweep[chunk, journal.Probe]{
+		Experiment: exp,
+		Mode:       mode,
+		Workers:    opt.Workers,
+		Context:    opt.Context,
+		Progress:   opt.Progress,
+		Resumed:    resumed,
+		Total:      total,
+		NewWorker: func() experiment.Worker[chunk, journal.Probe] {
+			return &prober{exp: exp, spec: spec, mode: mode, errs: errs, cache: cache, byCase: make(map[int]*inject.Probe)}
+		},
+		Collect: func(rec journal.Probe) error {
+			outcomes = append(outcomes, outcomeFromProbe(rec))
+			if opt.Journal == nil {
+				return nil
+			}
+			return opt.Journal.Probe(rec)
+		},
+	}.Run(chunks)
 	if err != nil {
 		return nil, err
 	}
-	outcomes = append(outcomes, live...)
 
 	rep := &Report{
 		Experiment:    exp,
@@ -314,134 +317,71 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// runProbes dispatches the live chunks across the worker pool —
-// per-worker queues with work stealing (experiment.PartitionQueues /
-// NextItem, the campaign scheduler) — and collects the probe outcomes
-// through a single collector loop that also feeds the journal and the
-// progress hook. Per-case profiles are computed once in a shared
-// inject.ProfileCache; each worker owns one Probe per case it touches.
-func runProbes(spec Spec, opt Options, exp string, mode inject.Mode, errs []inject.Error, chunks []chunk, resumed, total int) ([]probeOutcome, journal.Metrics, error) {
-	parent := opt.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	queues := experiment.PartitionQueues(chunks, opt.Workers)
-	cache := inject.NewProfileCache()
-	out := make(chan probeResult)
-	errCh := make(chan error, 1)
-	rstats := make([]inject.RunnerStats, opt.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			probes := make(map[int]*inject.Probe)
-			defer func() {
-				for _, p := range probes {
-					rstats[w] = rstats[w].Add(p.Stats())
-				}
-			}()
-			fail := func(err error) {
-				select {
-				case errCh <- err:
-				default:
-				}
-				cancel()
-			}
-			for ctx.Err() == nil {
-				c, ok, _ := experiment.NextItem(queues, w)
-				if !ok {
-					return
-				}
-				pr := probes[c.caseIdx]
-				if pr == nil {
-					cfg := inject.RunConfig{
-						TestCase:      c.tc,
-						Seed:          experiment.RunSeed(spec.Seed, c.caseIdx),
-						ObservationMs: spec.ObservationMs,
-						Policy:        spec.Policy,
-					}
-					var err error
-					if mode == inject.ModeLiteral {
-						pr, err = inject.NewProbe(mode, cfg)
-					} else {
-						var p *inject.CaseProfile
-						if p, err = cache.Get(c.caseIdx, cfg, mode == inject.ModeMemo); err == nil {
-							pr, err = inject.NewProbeFromProfile(mode, p)
-						}
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					probes[c.caseIdx] = pr
-				}
-				for ei := c.from; ei < c.to && ctx.Err() == nil; ei++ {
-					prof, err := pr.ProfileError(errs[ei])
-					if err != nil {
-						fail(err)
-						return
-					}
-					select {
-					case out <- probeResult{errIdx: ei, errID: errs[ei].ID, caseIdx: c.caseIdx, prof: prof}:
-					case <-ctx.Done():
-					}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	start := time.Now()
-	completed := resumed
-	var outcomes []probeOutcome
-	var journalErr error
-	for r := range out {
-		outcomes = append(outcomes, outcomeFromEAProfile(r.prof))
-		completed++
-		if opt.Journal != nil && journalErr == nil {
-			if err := opt.Journal.Probe(journal.Probe{
-				Experiment: exp,
-				ErrIdx:     r.errIdx,
-				ErrID:      r.errID,
-				CaseIdx:    r.caseIdx,
-				Seed:       experiment.RunSeed(spec.Seed, r.caseIdx),
-				Failed:     r.prof.Failed,
-				FailTickMs: r.prof.FailTickMs,
-				Master:     append([]int64(nil), r.prof.Master[:]...),
-				Slave:      append([]int64(nil), r.prof.Slave[:]...),
-			}); err != nil {
-				journalErr = err
-				cancel()
-			}
-		}
-		if opt.Progress != nil {
-			opt.Progress(experiment.Progress(exp, completed, resumed, total, start))
-		}
-	}
-
-	metrics := experiment.SweepMetrics(exp, mode, len(outcomes), resumed, time.Since(start), rstats)
-
-	switch {
-	case journalErr != nil:
-		return nil, metrics, journalErr
-	case len(errCh) > 0:
-		return nil, metrics, fmt.Errorf("optimize: sweep failed: %w", <-errCh)
-	case parent.Err() != nil:
-		return nil, metrics, fmt.Errorf("optimize: sweep interrupted: %w", parent.Err())
-	default:
-		return outcomes, metrics, nil
-	}
+// prober is one sweep worker: the Probe of every test case it has
+// served, built from the sweep's shared profile cache. It emits each
+// profile as its journal record, the form replayed probes take too.
+type prober struct {
+	exp    string
+	spec   Spec
+	mode   inject.Mode
+	errs   []inject.Error
+	cache  *inject.ProfileCache
+	byCase map[int]*inject.Probe
 }
 
-// outcomeFromEAProfile converts a live probe profile to scoring form.
-func outcomeFromEAProfile(p inject.EAProfile) probeOutcome {
-	return probeOutcome{master: p.Master, slave: p.Slave, failed: p.Failed, failTickMs: p.FailTickMs}
+// Serve profiles a chunk's errors on the worker's probe for the
+// chunk's test case, building the probe on first use.
+func (p *prober) Serve(c chunk, emit func(journal.Probe) bool) error {
+	seed := experiment.RunSeed(p.spec.Seed, c.caseIdx)
+	pr := p.byCase[c.caseIdx]
+	if pr == nil {
+		cfg := inject.RunConfig{
+			TestCase:      c.tc,
+			Seed:          seed,
+			ObservationMs: p.spec.ObservationMs,
+			Policy:        p.spec.Policy,
+		}
+		var err error
+		if p.mode == inject.ModeLiteral {
+			pr, err = inject.NewProbe(p.mode, cfg)
+		} else {
+			var prof *inject.CaseProfile
+			if prof, err = p.cache.Get(c.caseIdx, cfg, p.mode == inject.ModeMemo); err == nil {
+				pr, err = inject.NewProbeFromProfile(p.mode, prof)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		p.byCase[c.caseIdx] = pr
+	}
+	for ei := c.from; ei < c.to; ei++ {
+		prof, err := pr.ProfileError(p.errs[ei])
+		if err != nil {
+			return err
+		}
+		if !emit(journal.Probe{
+			Experiment: p.exp,
+			ErrIdx:     ei,
+			ErrID:      p.errs[ei].ID,
+			CaseIdx:    c.caseIdx,
+			Seed:       seed,
+			Failed:     prof.Failed,
+			FailTickMs: prof.FailTickMs,
+			Master:     append([]int64(nil), prof.Master[:]...),
+			Slave:      append([]int64(nil), prof.Slave[:]...),
+		}) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// Stats folds the worker's probe statistics.
+func (p *prober) Stats() inject.RunnerStats {
+	var st inject.RunnerStats
+	for _, pr := range p.byCase {
+		st = st.Add(pr.Stats())
+	}
+	return st
 }

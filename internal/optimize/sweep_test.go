@@ -163,6 +163,24 @@ func TestSweepRejectsForeignJournal(t *testing.T) {
 	if _, err := Run(spec, Options{Resume: log, Mode: inject.ModeSnapshot, Cost: &cost}); err == nil {
 		t.Error("memo-mode journal resumed into a snapshot-mode sweep")
 	}
+
+	window := spec
+	window.ObservationMs = 3000
+	if _, err := Run(window, Options{Resume: log, Cost: &cost}); err == nil {
+		t.Error("journal of a 4000 ms window resumed into a 3000 ms sweep")
+	} else if !strings.Contains(err.Error(), "observation window") {
+		t.Errorf("window-mismatch error does not name the window: %v", err)
+	}
+
+	// Another E2 sample size at the same seed keeps the header and the
+	// probe keys but changes which error an index names.
+	sample := spec
+	sample.E2 = inject.E2Spec{RAM: 4, Stack: 2}
+	if _, err := Run(sample, Options{Resume: log, Cost: &cost}); err == nil {
+		t.Error("journal of a 6+4 E2 sample resumed into a 4+2 sweep")
+	} else if !strings.Contains(err.Error(), "different error set") {
+		t.Errorf("error-set mismatch error does not say so: %v", err)
+	}
 }
 
 // The sweep's probe bookkeeping must balance: every live probe is

@@ -90,9 +90,10 @@ type Metrics struct {
 	// only; always 0 under PolicyBlock).
 	DroppedBatches uint64 `json:"dropped_batches"`
 	DroppedSamples uint64 `json:"dropped_samples"`
-	// P99TickLatencyNs bounds the per-sample processing latency of the
-	// 99th percentile sample: the upper edge of the histogram bucket
-	// holding it. 0 until anything was processed.
+	// P99TickLatencyNs is the upper edge of the histogram bucket holding
+	// the 99th percentile of per-batch mean sample cost: every sample
+	// is charged its batch's mean, so intra-batch variance is flattened.
+	// 0 until anything was processed.
 	P99TickLatencyNs uint64 `json:"p99_tick_latency_ns"`
 	// PerShard is each shard's breakdown, in shard order.
 	PerShard []ShardSnapshot `json:"per_shard"`
