@@ -205,15 +205,22 @@ func (m *Memory) FlipBit(addr uint16, bit uint8) error {
 
 // FlipWordBit inverts one bit (0 = least significant) of the 16-bit
 // big-endian word at addr, matching the paper's per-bit-position E1
-// errors on 16-bit signals.
+// errors on 16-bit signals. Both bytes must lie inside one region, as
+// for ReadU16.
 func (m *Memory) FlipWordBit(addr uint16, bit uint8) error {
 	if bit > 15 {
 		return fmt.Errorf("%w: %d", ErrBit, bit)
 	}
-	if bit < 8 {
-		return m.FlipBit(addr+1, bit)
+	w, err := m.word(addr)
+	if err != nil {
+		return err
 	}
-	return m.FlipBit(addr, bit-8)
+	if bit < 8 {
+		w[1] ^= 1 << bit
+	} else {
+		w[0] ^= 1 << (bit - 8)
+	}
+	return nil
 }
 
 // Zero clears every region to all-zero bytes.
@@ -249,12 +256,17 @@ func (m *Memory) Restore(snap [][]byte) error {
 	return nil
 }
 
-// bytesFor exposes a region's backing slice to Var16 for fast bound
-// accessors.
-func (m *Memory) bytesFor(addr uint16) ([]byte, uint16, error) {
+// word resolves the big-endian word at addr to its two bytes in the
+// backing store. Both bytes must lie inside one region: a word whose
+// high byte ends a region is out of range, even if the next region
+// starts right after it or addr+1 wraps to 0x0000.
+func (m *Memory) word(addr uint16) (*[2]byte, error) {
 	r, off, err := m.find(addr)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return r.data, off, nil
+	if int(off)+1 >= len(r.data) {
+		return nil, fmt.Errorf("%w: word at 0x%04x crosses region end", ErrOutOfRange, addr)
+	}
+	return (*[2]byte)(r.data[off : off+2]), nil
 }

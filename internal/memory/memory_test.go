@@ -131,6 +131,39 @@ func TestFlipWordBit(t *testing.T) {
 	}
 }
 
+// TestFlipWordBitStaysInOneRegion checks that a word flip obeys the
+// same one-region word rule as ReadU16, WriteU16 and Bind: a word whose
+// high byte is the last byte of a region is out of range, whether addr+1
+// wraps to 0x0000 or lands in an adjacent region. Nothing is flipped.
+func TestFlipWordBitStaysInOneRegion(t *testing.T) {
+	m, err := New(
+		RegionSpec{Name: "low", Base: 0x0000, Size: 4},
+		RegionSpec{Name: "mid", Base: 0x0100, Size: 4},
+		RegionSpec{Name: "next", Base: 0x0104, Size: 4},
+		RegionSpec{Name: "top", Base: 0xFFF0, Size: 16},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []uint16{0xFFFF, 0x0103} {
+		if _, err := m.ReadU16(addr); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("ReadU16(%#04x) = %v, want ErrOutOfRange", addr, err)
+		}
+		for bit := uint8(0); bit < 16; bit++ {
+			if err := m.FlipWordBit(addr, bit); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("FlipWordBit(%#04x, %d) = %v, want ErrOutOfRange", addr, bit, err)
+			}
+		}
+	}
+	for _, snap := range m.Snapshot() {
+		for i, b := range snap {
+			if b != 0 {
+				t.Errorf("a rejected flip changed a byte: offset %d = %#x", i, b)
+			}
+		}
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	m := twoRegions(t)
 	m.WriteU16(0, 0x1234)

@@ -1,6 +1,9 @@
 package memory
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Var16 is a 16-bit application variable bound to a fixed address in a
 // Memory. The target software performs all reads and writes of its
@@ -8,28 +11,28 @@ import "fmt"
 // software immediately and software writes overwrite injected
 // corruption exactly as on the real target.
 //
-// The binding caches the backing region slice; Get and Set are a few
-// nanoseconds, which keeps full 40-second, 1 ms-resolution experiment
-// runs cheap enough for 27 400-run campaigns.
+// The binding holds a pointer to the word inside its region's backing
+// store, so the word stays aliased across Restore, RestoreImage and
+// Zero (which copy into that store, never replace it). Get and Set are
+// small enough to inline: the disarmed path is one sink check and one
+// big-endian load or store, which keeps full 40-second, 1 ms-resolution
+// experiment runs cheap enough for 27 400-run campaigns. The armed path
+// (an AccessSink is set) runs out of line.
 type Var16 struct {
+	w    *[2]byte // the bound word in its region's backing store
+	mem  *Memory  // owner, consulted for the armed access sink
 	name string
 	addr uint16
-	buf  []byte  // region backing store
-	off  uint16  // offset of the high byte inside buf
-	mem  *Memory // owner, consulted for the armed access sink
 }
 
 // Bind creates a Var16 for the big-endian word at addr. Both bytes
 // must lie inside one region.
 func Bind(m *Memory, name string, addr uint16) (Var16, error) {
-	buf, off, err := m.bytesFor(addr)
+	w, err := m.word(addr)
 	if err != nil {
 		return Var16{}, fmt.Errorf("memory: binding %q: %w", name, err)
 	}
-	if int(off)+1 >= len(buf) {
-		return Var16{}, fmt.Errorf("memory: binding %q: word at 0x%04x crosses region end", name, addr)
-	}
-	return Var16{name: name, addr: addr, buf: buf, off: off, mem: m}, nil
+	return Var16{w: w, mem: m, name: name, addr: addr}, nil
 }
 
 // MustBind is Bind for statically known layouts; it panics on error.
@@ -50,23 +53,42 @@ func (v Var16) Name() string { return v.name }
 func (v Var16) Addr() uint16 { return v.addr }
 
 // Valid reports whether the variable is bound.
-func (v Var16) Valid() bool { return v.buf != nil }
+func (v Var16) Valid() bool { return v.w != nil }
 
-// Get returns the current unsigned value.
+// Get returns the current unsigned value. The sink is read on every
+// access, not cached at Bind, because it may be armed after the
+// variable was bound.
 func (v Var16) Get() uint16 {
-	if v.mem != nil && v.mem.sink != nil {
-		v.mem.sink.OnAccess(v.addr, 2, false)
+	if v.mem.sink != nil {
+		return v.getTraced()
 	}
-	return uint16(v.buf[v.off])<<8 | uint16(v.buf[v.off+1])
+	return binary.BigEndian.Uint16(v.w[:])
 }
 
 // Set stores the unsigned value.
 func (v Var16) Set(x uint16) {
-	if v.mem != nil && v.mem.sink != nil {
-		v.mem.sink.OnAccess(v.addr, 2, true)
+	if v.mem.sink != nil {
+		v.setTraced(x)
+		return
 	}
-	v.buf[v.off] = byte(x >> 8)
-	v.buf[v.off+1] = byte(x)
+	binary.BigEndian.PutUint16(v.w[:], x)
+}
+
+// getTraced is Get with the sink armed. It stays out of line so that
+// Get itself fits the inlining budget.
+//
+//go:noinline
+func (v Var16) getTraced() uint16 {
+	v.mem.sink.OnAccess(v.addr, 2, false)
+	return binary.BigEndian.Uint16(v.w[:])
+}
+
+// setTraced is Set with the sink armed.
+//
+//go:noinline
+func (v Var16) setTraced(x uint16) {
+	v.mem.sink.OnAccess(v.addr, 2, true)
+	binary.BigEndian.PutUint16(v.w[:], x)
 }
 
 // GetSigned returns the value interpreted as a two's-complement int16,

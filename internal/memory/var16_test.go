@@ -116,3 +116,45 @@ func TestQuickVar16RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVar16AliasesRegionStorage checks that a Var16 keeps aliasing its
+// word in the region's backing store across the checkpoint operations,
+// which copy into that store: a variable bound before Restore,
+// RestoreImage or Zero reads the restored bytes, and its Set is visible
+// to ReadU16.
+func TestVar16AliasesRegionStorage(t *testing.T) {
+	m := testMemory(t)
+	v := MustBind(m, "x", 0x110)
+	check := func(step string, want uint16) {
+		t.Helper()
+		if got := v.Get(); got != want {
+			t.Errorf("%s: Get = %#x, want %#x", step, got, want)
+		}
+		x := want ^ 0x5AA5
+		v.Set(x)
+		if w, err := m.ReadU16(0x110); err != nil || w != x {
+			t.Errorf("%s: ReadU16 after Set = (%#x, %v), want %#x", step, w, err, x)
+		}
+	}
+
+	if err := m.WriteU16(0x110, 0x1234); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	var img Image
+	if err := m.WriteU16(0x110, 0xBEEF); err != nil {
+		t.Fatal(err)
+	}
+	m.Capture(&img)
+
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("Restore", 0x1234)
+	if err := m.RestoreImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	check("RestoreImage", 0xBEEF)
+	m.Zero()
+	check("Zero", 0)
+}

@@ -148,7 +148,8 @@ func DecodeRecord(b []byte) (Record, error) {
 }
 
 // walkBatches validates the framing of a payload (one or more batches
-// back to back) and calls visit with each batch's record region. It
+// back to back: magic, version, a zero reserved byte and a count the
+// payload holds) and calls visit with each batch's record region. It
 // performs no per-record work, so callers fold their own per-record
 // pass into visit.
 func walkBatches(payload []byte, visit func(records []byte) error) error {
@@ -163,6 +164,9 @@ func walkBatches(payload []byte, visit func(records []byte) error) error {
 		}
 		if rest[4] != WireVersion {
 			return fmt.Errorf("stream: wire version %d, want %d", rest[4], WireVersion)
+		}
+		if rest[5] != 0 {
+			return fmt.Errorf("stream: reserved header byte is %d at offset %d, want 0", rest[5], off)
 		}
 		count := int(be16(rest[6:]))
 		size := HeaderBytes + count*RecordBytes

@@ -59,19 +59,26 @@ func TestWireConcatenatedBatches(t *testing.T) {
 	}
 }
 
-func TestWireValidationErrors(t *testing.T) {
-	good := AppendBatch(nil, sampleRecords())
-	cases := []struct {
+// mangledPayloads returns framing-invalid variants of a valid payload,
+// one per validation rule. The wire tests and the fuzz seed corpus
+// share them.
+func mangledPayloads(good []byte) []struct {
+	name    string
+	mangled []byte
+} {
+	set := func(i int, b byte) []byte {
+		out := bytes.Clone(good)
+		out[i] = b
+		return out
+	}
+	return []struct {
 		name    string
 		mangled []byte
 	}{
 		{"truncated header", good[:HeaderBytes-2]},
 		{"bad magic", append([]byte("XXSB"), good[4:]...)},
-		{"bad version", func() []byte {
-			b := bytes.Clone(good)
-			b[4] = 99
-			return b
-		}()},
+		{"bad version", set(4, 99)},
+		{"non-zero reserved byte", set(5, 1)},
 		{"truncated records", good[:len(good)-1]},
 		{"count overruns payload", func() []byte {
 			b := bytes.Clone(good)
@@ -79,7 +86,10 @@ func TestWireValidationErrors(t *testing.T) {
 			return b
 		}()},
 	}
-	for _, tt := range cases {
+}
+
+func TestWireValidationErrors(t *testing.T) {
+	for _, tt := range mangledPayloads(AppendBatch(nil, sampleRecords())) {
 		t.Run(tt.name, func(t *testing.T) {
 			if err := walkBatches(tt.mangled, func([]byte) error { return nil }); err == nil {
 				t.Error("mangled payload validated")
